@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use multival::imc::compositional::{compose_minimize, Component, PipelineOptions};
 use multival::imc::{lump, lump_with, Imc, ImcBuilder, LumpOptions};
-use multival::lts::minimize::{minimize, minimize_with, Equivalence};
+use multival::lts::minimize::{minimize, Equivalence};
 use multival::lts::Workers;
 use multival::models::xstream::pipeline::{build_monolithic, PipelineConfig};
 
@@ -77,19 +77,6 @@ fn bench_lts_minimization(c: &mut Criterion) {
     group.bench_function("branching", |b| {
         b.iter(|| minimize(&lts, Equivalence::Branching).0.num_states())
     });
-    // Parallel signature computation (same partitions, bit for bit).
-    for threads in [2usize, 4] {
-        group.bench_function(format!("strong_t{threads}"), |b| {
-            b.iter(|| {
-                minimize_with(&lts, Equivalence::Strong, Workers::new(threads)).0.num_states()
-            })
-        });
-        group.bench_function(format!("branching_t{threads}"), |b| {
-            b.iter(|| {
-                minimize_with(&lts, Equivalence::Branching, Workers::new(threads)).0.num_states()
-            })
-        });
-    }
     group.finish();
 }
 

@@ -235,8 +235,11 @@ impl fmt::Display for BltsError {
 
 impl Error for BltsError {}
 
-/// FNV-1a 64-bit, used as the BLTS trailer checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit hash of `bytes`: the BLTS trailer checksum, the
+/// reduction pipeline's checkpoint fingerprints and the service's cache
+/// keys. Tiny, dependency-free and byte-order independent.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -42,10 +42,10 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::io::{read_blts, write_aut, write_blts};
+use crate::io::{fnv1a, read_blts, write_aut, write_blts};
 use crate::label::gate_of;
 use crate::lts::{Lts, LtsBuilder};
-use crate::minimize::{minimize_with, Equivalence};
+use crate::minimize::{minimize, Equivalence};
 use crate::ops::{self, Sync};
 use crate::reach::{self, ReachOptions};
 use crate::store::{StoreConfig, StoreKind};
@@ -130,25 +130,20 @@ impl Network {
     /// A structural fingerprint of the network (components, sync set, hide
     /// set), used to validate checkpoints.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(b"network v1\n");
+        let mut text = String::from("network v1\n");
         for (name, lts) in &self.components {
-            h.write(b"component\n");
-            h.write(name.as_bytes());
-            h.write(b"\n");
-            h.write(write_aut(lts).as_bytes());
+            text.push_str("component\n");
+            text.push_str(name);
+            text.push('\n');
+            text.push_str(&write_aut(lts));
         }
         for g in &self.sync_gates {
-            h.write(b"sync ");
-            h.write(g.as_bytes());
-            h.write(b"\n");
+            text.push_str(&format!("sync {g}\n"));
         }
         for g in &self.hidden {
-            h.write(b"hide ");
-            h.write(g.as_bytes());
-            h.write(b"\n");
+            text.push_str(&format!("hide {g}\n"));
         }
-        h.finish()
+        fnv1a(text.as_bytes())
     }
 }
 
@@ -183,7 +178,7 @@ pub struct PipelineOptions {
     pub equivalence: Equivalence,
     /// Composition-order policy.
     pub order: Order,
-    /// Worker count for composition and partition refinement.
+    /// Worker count for composition.
     pub workers: Workers,
     /// Inclusive cap on any intermediate product's state count: the stage
     /// product is scanned lazily first and the pipeline aborts (with
@@ -347,7 +342,7 @@ pub fn monolithic(network: &Network, eq: Equivalence, workers: Workers) -> Monol
     let product_states = acc.num_states();
     let product_transitions = acc.num_transitions();
     let hidden = ops::hide(&acc, network.hidden.iter().map(String::as_str));
-    let (minimized, _) = minimize_with(&hidden, eq, workers);
+    let (minimized, _) = minimize(&hidden, eq);
     MonolithicRun {
         lts: canonicalize(&minimized),
         product_states,
@@ -442,7 +437,7 @@ pub fn run_pipeline(network: &Network, options: &PipelineOptions) -> PipelineRun
         } else {
             ops::hide(&product, to_hide.iter().map(String::as_str))
         };
-        let (minimized, _) = minimize_with(&internalized, options.equivalence, options.workers);
+        let (minimized, _) = minimize(&internalized, options.equivalence);
         hidden_done.extend(completed.iter().cloned());
         let stat = StageStats {
             stage: k,
@@ -790,13 +785,12 @@ struct Checkpoint {
 /// the network, the equivalence, and the resolved order. Worker counts and
 /// budgets are deliberately excluded — they never change the stage LTSs.
 fn checkpoint_fingerprint(network: &Network, options: &PipelineOptions, order: &[usize]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(&network.fingerprint().to_le_bytes());
-    h.write(format!("eq {:?}\n", options.equivalence).as_bytes());
+    let mut bytes = network.fingerprint().to_le_bytes().to_vec();
+    bytes.extend_from_slice(format!("eq {:?}\n", options.equivalence).as_bytes());
     for &i in order {
-        h.write(format!("order {i}\n").as_bytes());
+        bytes.extend_from_slice(format!("order {i}\n").as_bytes());
     }
-    h.finish()
+    fnv1a(&bytes)
 }
 
 impl Checkpoint {
@@ -905,29 +899,6 @@ pub fn checkpoint_files(dir: &Path, n: usize) -> Vec<PathBuf> {
     let mut files = vec![dir.join(MANIFEST_NAME)];
     files.extend((0..n).map(|k| dir.join(format!("stage_{k}.blts"))));
     files
-}
-
-// ---------------------------------------------------------------------------
-// FNV-1a (64-bit) — tiny, dependency-free, stable across platforms.
-// ---------------------------------------------------------------------------
-
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::label::{LabelId, LabelTable};
 use crate::lts::{Lts, StateId};
 use crate::store::{PackState, StateStore};
 use crate::ts::TransitionSystem;
+use multival_par::fx::FxHashMap;
 use multival_par::{par_map, ShardedIndex, Workers};
 use std::collections::{HashMap, VecDeque};
 
@@ -200,32 +201,26 @@ where
 }
 
 fn materialize_sequential<T: TransitionSystem>(ts: &T) -> Lts {
-    let mut index: HashMap<T::State, StateId> = HashMap::new();
-    let mut queue: VecDeque<T::State> = VecDeque::new();
+    let mut index: FxHashMap<T::State, StateId> = FxHashMap::default();
+    // Queue entries carry their id, so a popped state is never re-hashed.
+    let mut queue: VecDeque<(T::State, StateId)> = VecDeque::new();
     let mut transitions: Vec<(StateId, LabelId, StateId)> = Vec::new();
-    let mut num_states: u32 = 1;
 
     let init = ts.initial_state();
     index.insert(init.clone(), 0);
-    queue.push_back(init);
+    queue.push_back((init, 0));
 
-    while let Some(state) = queue.pop_front() {
-        let src = index[&state];
+    while let Some((state, src)) = queue.pop_front() {
         for (label, target) in ts.successors(&state) {
-            let dst = match index.get(&target) {
-                Some(&d) => d,
-                None => {
-                    let d = num_states;
-                    num_states += 1;
-                    index.insert(target.clone(), d);
-                    queue.push_back(target);
-                    d
-                }
-            };
+            let next = index.len() as StateId;
+            let dst = *index.entry(target).or_insert_with_key(|target| {
+                queue.push_back((target.clone(), next));
+                next
+            });
             transitions.push((src, label, dst));
         }
     }
-    Lts::from_parts(ts.label_table(), num_states, 0, transitions)
+    Lts::from_parts(ts.label_table(), index.len() as u32, 0, transitions)
 }
 
 /// A streaming reachability scan: counts without storing the graph.

@@ -5,7 +5,8 @@
 //! bits, so the cache stores the full canonical key next to each entry and
 //! verifies it on every hit (see [`crate::cache`]).
 
-/// FNV-1a 64-bit hash of `bytes`.
+/// FNV-1a 64-bit hash of `bytes` (the workspace's one implementation,
+/// [`multival_lts::io::fnv1a`]).
 ///
 /// # Examples
 ///
@@ -17,14 +18,7 @@
 /// ```
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    multival_lts::io::fnv1a(bytes)
 }
 
 /// The hash as 16 lowercase hex digits (stable file / JSON key form).

@@ -586,9 +586,20 @@ mod tests {
             .expect("request")
     }
 
+    /// A distinct job slow enough that the worker is still busy with it
+    /// when the submissions queued behind it arrive (the coalescing counts
+    /// depend on that): four interleaved bounded queues explore 9^4 = 6,561
+    /// states.
     fn slow_request() -> JobRequest {
-        JobRequest::from_json_text(r#"{"kind":"explore","model":{"builtin":"fame2_ping_pong"}}"#)
-            .expect("request")
+        let source = "process Queue[enq, deq](n: int 0..8, c: int 1..8) := \
+                      [n < c] -> enq; Queue[enq, deq](n + 1, c) \
+                      [] [n > 0] -> deq; Queue[enq, deq](n - 1, c) endproc \
+                      behaviour Queue[a, b](0, 8) ||| Queue[c, d](0, 8) \
+                      ||| Queue[e, f](0, 8) ||| Queue[g, h](0, 8)";
+        JobRequest::from_json_text(&format!(
+            r#"{{"kind":"explore","model":{{"source":"{source}"}}}}"#
+        ))
+        .expect("request")
     }
 
     fn wait_done(engine: &JobEngine, id: u64) -> JobSnapshot {

@@ -1,14 +1,11 @@
 //! Cross-crate checks of the parallel state-space engine: randomized
 //! specs explored with 1 and 4 worker threads must produce *identical*
 //! LTSs (the engine promises bit-identity, which is stronger than the
-//! isomorphism the paper's flow needs), and parallel partition refinement
-//! must agree with the sequential implementation on the xSTream model.
+//! isomorphism the paper's flow needs).
 
 use multival::lts::equiv::{equivalent, Verdict};
 use multival::lts::io::write_aut;
-use multival::lts::minimize::{partition_refinement, partition_refinement_with, Equivalence};
-use multival::lts::Workers;
-use multival::models::xstream::pipeline::{build_monolithic, PipelineConfig};
+use multival::lts::minimize::Equivalence;
 use multival::pa::{explore_partial, parse_spec, ExploreOptions};
 use proptest::prelude::*;
 
@@ -84,32 +81,6 @@ proptest! {
                 equivalent(&seq.explored.lts, &par.explored.lts, Equivalence::Strong),
                 Verdict::Equivalent
             ));
-        }
-    }
-}
-
-#[test]
-fn xstream_partition_refinement_parallel_matches_sequential() {
-    // Fixed workload (no randomness): the monolithic xSTream pipeline at
-    // capacity 4 — the same model the E1/E9 experiments measure.
-    let lts =
-        build_monolithic(&PipelineConfig { push_capacity: 4, pop_capacity: 4, credits: 4 }).lts;
-    for eq in [Equivalence::Strong, Equivalence::Branching] {
-        let seq = partition_refinement(&lts, eq);
-        for threads in [2usize, 4] {
-            let par = partition_refinement_with(&lts, eq, Workers::new(threads));
-            assert_eq!(
-                seq.num_blocks(),
-                par.num_blocks(),
-                "block count diverged ({eq:?}, {threads} threads)"
-            );
-            for s in 0..lts.num_states() as u32 {
-                assert_eq!(
-                    seq.block(s),
-                    par.block(s),
-                    "state {s} landed in a different block ({eq:?}, {threads} threads)"
-                );
-            }
         }
     }
 }
