@@ -6,7 +6,7 @@ use multival::ctmc::phfit::{fit_deterministic, FitOptions};
 use multival::ctmc::steady::SolveOptions;
 use multival::imc::compositional::{compose_minimize, peak_states, Component, PipelineOptions};
 use multival::imc::phase_type::Delay;
-use multival::imc::to_ctmc::{to_ctmc, to_ctmdp, NondetPolicy};
+use multival::imc::to_ctmc::{to_ctmc, to_ctmdp_lifted, NondetPolicy};
 use multival::imc::{Imc, ImcBuilder};
 use multival::lts::analysis::deadlock_witness;
 use multival::lts::equiv::{weak_trace_equivalent, Verdict};
@@ -524,17 +524,19 @@ pub fn e8_nondeterminism() -> Result<String, Box<dyn Error>> {
     )?;
     out.push_str(&format!("Uniform scheduler:            E[time to done] = {}\n", fmt_f(h)));
 
-    let mdp = to_ctmdp(&imc)?;
-    let (lo, best_policy) = mdp.optimal_expected_time(&[4], Opt::Min, 1e-12, 200_000)?;
-    let (hi, worst_policy) = mdp.optimal_expected_time(&[4], Opt::Max, 1e-12, 200_000)?;
+    let lifted = to_ctmdp_lifted(&imc, &[])?;
+    let done = lifted.resolved[4];
+    let choice = lifted.state_map[1].expect("the choice state is kept");
+    let (lo, best_policy) = lifted.mdp.optimal_expected_time(&[done], Opt::Min, 1e-12, 200_000)?;
+    let (hi, worst_policy) = lifted.mdp.optimal_expected_time(&[done], Opt::Max, 1e-12, 200_000)?;
     out.push_str(&format!(
         "CTMDP bounds over schedulers: E[time to done] in [{}, {}]\n",
-        fmt_f(lo[0]),
-        fmt_f(hi[0])
+        fmt_f(lo[lifted.initial]),
+        fmt_f(hi[lifted.initial])
     ));
     out.push_str(&format!(
         "optimal schedulers at the choice state: best takes branch {:?}, worst branch {:?}\n",
-        best_policy[1], worst_policy[1]
+        best_policy[choice], worst_policy[choice]
     ));
     out.push_str("(best = always fast: 1 + 0.1; worst = always slow: 1 + 1)\n");
     Ok(out)
@@ -587,8 +589,8 @@ pub fn e9_compositional_imc() -> Result<String, Box<dyn Error>> {
 }
 
 /// E13 — scheduler-quantified evaluation (EXPERIMENTS.md §E13)
-/// (E10–E12 are driven by the `baseline` harness and the service, so the
-/// registry jumps from e9 to e13.)
+/// (E10–E12 were measured by a bench harness that `benchmark/` replaced,
+/// so the registry jumps from e9 to e13.)
 ///
 /// Instead of fixing one scheduler for the nondeterminism left in a model,
 /// lift the lumped IMC into a CTMDP and report `[min, max]` over *every*
@@ -682,12 +684,14 @@ mod tests {
             &SolveOptions::default(),
         )
         .expect("solves");
-        let mdp = to_ctmdp(&imc).expect("ctmdp");
-        let lo = mdp.expected_time_to_reach(&[4], Opt::Min, 1e-12, 200_000).expect("vi")[0];
-        let hi = mdp.expected_time_to_reach(&[4], Opt::Max, 1e-12, 200_000).expect("vi")[0];
+        let lifted = to_ctmdp_lifted(&imc, &[]).expect("ctmdp");
+        let done = [lifted.resolved[4]];
+        let reach = |opt| lifted.mdp.expected_time_to_reach(&done, opt, 1e-12, 200_000);
+        let lo = reach(Opt::Min).expect("vi")[lifted.initial];
+        let hi = reach(Opt::Max).expect("vi")[lifted.initial];
         assert!(lo <= uniform + 1e-6 && uniform <= hi + 1e-6, "{lo} <= {uniform} <= {hi}");
-        assert!((lo - 1.1).abs() < 1e-3, "fast bound {lo}");
-        assert!((hi - 2.0).abs() < 1e-3, "slow bound {hi}");
+        assert!((lo - 1.1).abs() < 1e-9, "fast bound {lo}");
+        assert!((hi - 2.0).abs() < 1e-9, "slow bound {hi}");
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //!
 //! One module per experiment of the reproduction (E1–E9 and E13, see
 //! DESIGN.md §5);
-//! each returns rendered tables so the `experiments` binary can print them
-//! and the Criterion benches can reuse the underlying workloads.
+//! each returns rendered tables so the `experiments` binary can print them.
 
-pub mod baseline;
 pub mod experiments;
 
-pub use baseline::bench_baseline;
 pub use experiments::{run, EXPERIMENTS};

@@ -425,7 +425,8 @@ reduce folds the model's parallel components into the product one at a time,
 hiding each gate as soon as all of its owners are folded and minimizing after
 every stage (compositional smart reduction). The result is canonical: every
 --order policy and --threads count produces byte-identical output. With
---checkpoint DIR, per-stage .aut files let an interrupted run resume.
+--checkpoint DIR, per-stage .aut files let an interrupted run resume. Every
+intermediate product is capped at --max-states states (default 1000000).
 
 simulate runs the statistical engine: batched Monte-Carlo trajectories with
 Welford statistics and CI-width stopping, reported next to the numerical
@@ -1630,7 +1631,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 equivalence: *eq,
                 order: *order,
                 workers: if *threads == 0 { Workers::auto() } else { Workers::new(*threads) },
-                max_states: budget.max_states,
+                max_states: Some(budget.max_states_or(1_000_000)),
                 deadline: budget.deadline(),
                 checkpoint_dir: checkpoint.as_ref().map(std::path::PathBuf::from),
                 store: multival_lts::store::StoreConfig {

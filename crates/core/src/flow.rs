@@ -467,22 +467,6 @@ impl Solved {
         self.simulator().transient(t, opts)
     }
 
-    /// Statistical estimate of the mean time to reach the given functional
-    /// states (trajectories truncated at `time_cap`). Cross-validates
-    /// [`Self::mean_time_to_states`].
-    pub fn simulate_time_to_states(
-        &self,
-        functional: &[u32],
-        time_cap: f64,
-        opts: &McOptions,
-    ) -> McRun {
-        let targets: Vec<usize> = functional
-            .iter()
-            .filter_map(|&s| self.conv.state_map.get(s as usize).copied().flatten())
-            .collect();
-        self.simulator().hitting_time(&targets, time_cap, opts)
-    }
-
     /// Probability that the chain has reached any of the given functional
     /// states within time `t` (CSL bounded reachability) — the CTMC
     /// reference measure for [`BoundsSolved::transient_bounds`].

@@ -12,9 +12,7 @@
 //! * [`absorb`] — expected first-passage/hitting times and reachability
 //!   probabilities (used for latency predictions);
 //! * [`csl`] — CSL-style time-bounded until and reachability quantiles;
-//! * [`dtmc`] — embedded jump chains and discrete-time analyses;
 //! * [`rewards`] — accumulated and long-run reward measures;
-//! * [`simulate`] — single-trajectory Monte-Carlo walks;
 //! * [`mc`] — the parallel batched Monte-Carlo engine (deterministic seed
 //!   streams, Welford statistics, confidence-interval stopping);
 //! * [`phfit`] — moment-matching phase-type fitting of deterministic
@@ -48,19 +46,16 @@ pub mod absorb;
 pub mod csl;
 pub mod ctmc;
 pub mod dense;
-pub mod dtmc;
 pub mod mc;
 pub mod mdp;
 pub mod phfit;
 pub mod rewards;
-pub mod simulate;
 pub mod sparse;
 pub mod stats;
 pub mod steady;
 pub mod transient;
 
 pub use ctmc::{Ctmc, CtmcBuilder, CtmcError, RateTransition, State};
-pub use dtmc::Dtmc;
 pub use mc::{Estimate, McOptions, McRun, McSim};
 pub use mdp::{ActionChoice, Ctmdp, Opt};
 pub use multival_par::Workers;

@@ -17,7 +17,7 @@
 use crate::ctmc::{Ctmc, State};
 use crate::sparse::Csr;
 use crate::stats::Welford;
-use multival_par::{par_map_min, Workers};
+use multival_par::{mix64, par_map_min, SplitMix64, Workers};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -111,10 +111,7 @@ impl McRun {
 /// and depend only on `(seed, index)` — never on scheduling.
 #[must_use]
 pub fn trajectory_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(base ^ index.wrapping_add(1).wrapping_mul(SplitMix64::GAMMA))
 }
 
 /// Batched driver shared by all estimators: runs `traj` per trajectory
@@ -370,6 +367,28 @@ mod tests {
     use crate::rewards::accumulated_until;
     use crate::steady::{steady_state, SolveOptions};
     use crate::transient::{transient, TransientOptions};
+
+    #[test]
+    fn trajectory_seed_keeps_its_stream() {
+        // The scramble predating the shared `mix64` finalizer, inlined.
+        fn reference(base: u64, index: u64) -> u64 {
+            let mut z = base ^ index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let bases = [0, 1, 2024, 0x5EED_CAFE, u64::MAX / 3, u64::MAX];
+        let indices = [0, 1, 2, 511, 65_535, 1 << 40, u64::MAX - 1, u64::MAX];
+        for &base in &bases {
+            for &index in &indices {
+                assert_eq!(
+                    trajectory_seed(base, index),
+                    reference(base, index),
+                    "({base}, {index})"
+                );
+            }
+        }
+    }
 
     fn flip_flop() -> Ctmc {
         let mut b = CtmcBuilder::new(2);

@@ -81,12 +81,6 @@ impl Csr {
         self.exit[s]
     }
 
-    /// All exit rates.
-    #[must_use]
-    pub fn exit_rates(&self) -> &[f64] {
-        &self.exit
-    }
-
     /// Largest exit rate over all states.
     #[must_use]
     pub fn max_exit_rate(&self) -> f64 {

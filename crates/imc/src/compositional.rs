@@ -35,11 +35,6 @@ impl Component {
     {
         Component { name: name.to_owned(), imc, sync: Sync::on(sync_gates) }
     }
-
-    /// Creates a named component with an explicit discipline.
-    pub fn with_sync(name: &str, imc: Imc, sync: Sync) -> Self {
-        Component { name: name.to_owned(), imc, sync }
-    }
 }
 
 /// Statistics of one composition stage.

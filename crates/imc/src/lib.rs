@@ -51,9 +51,9 @@ pub mod phase_type;
 pub mod to_ctmc;
 
 pub use imc::{Imc, ImcBuilder, ImcError, Interactive, Markovian, State};
-pub use lump::{lump, lump_with, LumpOptions, LumpStats};
+pub use lump::{lump, LumpOptions, LumpStats};
 pub use multival_par::Workers;
 pub use phase_type::Delay;
 pub use to_ctmc::{
-    to_ctmc, to_ctmdp, to_ctmdp_lifted, CtmcConversion, CtmdpConversion, NondetPolicy, ToCtmcError,
+    to_ctmc, to_ctmdp_lifted, CtmcConversion, CtmdpConversion, NondetPolicy, ToCtmcError,
 };

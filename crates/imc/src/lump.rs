@@ -8,7 +8,6 @@
 //! rate sums are quantized by a relative tolerance to make them hashable.
 
 use crate::imc::{Imc, ImcBuilder, State};
-use multival_par::{par_map, Workers};
 use std::collections::HashMap;
 
 /// Options for lumping.
@@ -45,30 +44,18 @@ type LumpSignature = (u32, Vec<(u32, u32)>, Vec<(u32, i64)>);
 /// Computes the coarsest lumping partition: returns (block id per state,
 /// #blocks, refinement sweeps).
 pub fn lump_partition(imc: &Imc, options: &LumpOptions) -> (Vec<u32>, u32, usize) {
-    lump_partition_with(imc, options, Workers::sequential())
-}
-
-/// [`lump_partition`] with an explicit worker count for the per-sweep
-/// rate-signature computation. Signature→block interning stays sequential
-/// in state order, so the partition is identical at any worker count.
-pub fn lump_partition_with(
-    imc: &Imc,
-    options: &LumpOptions,
-    workers: Workers,
-) -> (Vec<u32>, u32, usize) {
     let n = imc.num_states();
-    let state_ids: Vec<State> = (0..n as State).collect();
     let mut block = vec![0u32; n];
     let mut num_blocks = 1u32.min(n as u32);
     let mut sweeps = 0usize;
     loop {
         sweeps += 1;
-        // Parallel stage: per-state signatures — interactive pairs plus
-        // cumulative quantized Markovian rates per target block (pure
-        // reads of the frozen partition, with f64 sums accumulated in a
-        // fixed per-state order so rounding is scheduling-independent).
-        type StateSig = (Vec<(u32, u32)>, Vec<(u32, i64)>);
-        let sigs: Vec<StateSig> = par_map(workers, &state_ids, |_, &s| {
+        // Per-state signatures — interactive pairs plus cumulative
+        // quantized Markovian rates per target block, read from the frozen
+        // partition — interned in state order.
+        let mut sig_index: HashMap<LumpSignature, u32> = HashMap::new();
+        let mut next = vec![0u32; n];
+        for s in 0..n as State {
             // Interactive signature: sorted (label, target block) pairs.
             let mut isig: Vec<(u32, u32)> = imc
                 .interactive_from(s)
@@ -85,15 +72,9 @@ pub fn lump_partition_with(
             let mut msig: Vec<(u32, i64)> =
                 rates.into_iter().map(|(b, r)| (b, quantize(r, options.rate_tolerance))).collect();
             msig.sort_unstable();
-            (isig, msig)
-        });
-        // Sequential stage: intern signatures in state order.
-        let mut sig_index: HashMap<LumpSignature, u32> = HashMap::new();
-        let mut next = vec![0u32; n];
-        for (s, (isig, msig)) in sigs.into_iter().enumerate() {
-            let key = (block[s], isig, msig);
+            let key = (block[s as usize], isig, msig);
             let fresh = sig_index.len() as u32;
-            next[s] = *sig_index.entry(key).or_insert(fresh);
+            next[s as usize] = *sig_index.entry(key).or_insert(fresh);
         }
         let nb = sig_index.len() as u32;
         if nb == num_blocks {
@@ -129,14 +110,8 @@ pub fn lump_partition_with(
 /// # }
 /// ```
 pub fn lump(imc: &Imc, options: &LumpOptions) -> (Imc, LumpStats) {
-    lump_with(imc, options, Workers::sequential())
-}
-
-/// [`lump`] with an explicit worker count; the lumped IMC is identical at
-/// any worker count.
-pub fn lump_with(imc: &Imc, options: &LumpOptions, workers: Workers) -> (Imc, LumpStats) {
     let n = imc.num_states();
-    let (block, num_blocks, sweeps) = lump_partition_with(imc, options, workers);
+    let (block, num_blocks, sweeps) = lump_partition(imc, options);
     // Representative member per block (signatures agree, so any member
     // works); aggregate its rates per target block.
     let mut rep: Vec<Option<State>> = vec![None; num_blocks as usize];
@@ -252,44 +227,6 @@ mod tests {
         let (m2, _) = lump(&m1, &LumpOptions::default());
         assert_eq!(m1.num_states(), m2.num_states());
         assert_eq!(m1.num_markovian(), m2.num_markovian());
-    }
-
-    #[test]
-    fn parallel_lumping_matches_sequential_exactly() {
-        // A 500-state layered IMC: alternating interactive/Markovian moves
-        // with enough symmetry to lump and enough states to parallelize.
-        let mut b = ImcBuilder::new();
-        let s: Vec<_> = (0..500).map(|_| b.add_state()).collect();
-        for i in 0..500usize {
-            let t1 = (i * 7 + 3) % 500;
-            let t2 = (i * 13 + 11) % 500;
-            match i % 3 {
-                0 => {
-                    b.markovian(s[i], s[t1], 1.0 + (i % 4) as f64).unwrap();
-                    b.markovian(s[i], s[t2], 2.5).unwrap();
-                }
-                1 => b.interactive(s[i], "GO", s[t1]),
-                _ => {
-                    b.interactive(s[i], "i", s[t2]);
-                    b.markovian(s[i], s[t1], 0.5).unwrap();
-                }
-            }
-        }
-        let imc = b.build(s[0]);
-        let (seq_block, seq_nb, seq_sweeps) = lump_partition(&imc, &LumpOptions::default());
-        for threads in [2, 4] {
-            let (par_block, par_nb, par_sweeps) =
-                lump_partition_with(&imc, &LumpOptions::default(), Workers::new(threads));
-            assert_eq!(seq_nb, par_nb, "@{threads}");
-            assert_eq!(seq_sweeps, par_sweeps, "@{threads}");
-            assert_eq!(seq_block, par_block, "@{threads}");
-        }
-        let (m_seq, st_seq) = lump(&imc, &LumpOptions::default());
-        let (m_par, st_par) = lump_with(&imc, &LumpOptions::default(), Workers::new(4));
-        assert_eq!(st_seq, st_par);
-        assert_eq!(m_seq.num_states(), m_par.num_states());
-        assert_eq!(m_seq.num_markovian(), m_par.num_markovian());
-        assert_eq!(m_seq.num_interactive(), m_par.num_interactive());
     }
 
     #[test]

@@ -54,11 +54,6 @@ pub enum Delay {
 }
 
 impl Delay {
-    /// Exponential delay with mean `m`.
-    pub fn exponential_with_mean(m: f64) -> Delay {
-        Delay::Exponential { rate: 1.0 / m }
-    }
-
     /// The canonical Erlang-k approximation of a *deterministic* delay of
     /// duration `d`: k phases of rate `k/d` (mean d, CV² = 1/k). Larger `k`
     /// is more accurate and costs more states — the space/accuracy

@@ -13,7 +13,7 @@
 //!   not accept" nondeterminism — conversion fails with a diagnostic;
 //! * [`NondetPolicy::Uniform`] resolves internal choices uniformly (a
 //!   specific randomized scheduler);
-//! * for *bounds over all schedulers*, use [`to_ctmdp`] and the
+//! * for *bounds over all schedulers*, use [`to_ctmdp_lifted`] and the
 //!   `multival-ctmc` value-iteration solvers.
 //!
 //! *Probes* are visible labels that should survive into the chain for
@@ -67,7 +67,7 @@ impl fmt::Display for ToCtmcError {
             ToCtmcError::Nondeterministic { state, choices } => write!(
                 f,
                 "internal nondeterminism at state {state} ({choices} choices); \
-                 CADP-style solvers reject this — use NondetPolicy::Uniform or to_ctmdp"
+                 CADP-style solvers reject this — use NondetPolicy::Uniform or to_ctmdp_lifted"
             ),
             ToCtmcError::Timelock { state } => {
                 write!(f, "τ-cycle without Markovian escape at state {state} (timelock)")
@@ -310,50 +310,6 @@ pub fn probe_throughputs(
         .collect())
 }
 
-/// Pseudo-rate standing in for "instantaneous" in the CTMDP approximation
-/// of vanishing states: each internal step adds `1/INSTANT_RATE` of
-/// spurious expected time (documented error bound).
-pub const INSTANT_RATE: f64 = 1e9;
-
-/// Converts a closed IMC (τ-only interactive transitions) into a CTMDP,
-/// keeping the internal nondeterminism as scheduler choices. Vanishing
-/// states become CTMDP states whose choices fire at [`INSTANT_RATE`];
-/// expected-time results carry an error of at most
-/// `#internal-steps / INSTANT_RATE`.
-///
-/// # Errors
-///
-/// Returns [`ToCtmcError::VisibleLabels`] if visible labels remain.
-pub fn to_ctmdp(imc: &Imc) -> Result<Ctmdp, ToCtmcError> {
-    if imc.has_visible() {
-        return Err(ToCtmcError::VisibleLabels(imc.visible_labels()));
-    }
-    let n = imc.num_states();
-    let mut mdp = Ctmdp::new(n);
-    for s in 0..n as State {
-        let internal: Vec<State> = {
-            let mut v: Vec<State> = imc.interactive_from(s).iter().map(|t| t.target).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        if !internal.is_empty() {
-            // Maximal progress: Markovian transitions are preempted.
-            for t in internal {
-                mdp.add_choice(
-                    s as usize,
-                    ActionChoice { name: None, transitions: vec![(t as usize, INSTANT_RATE)] },
-                );
-            }
-        } else if !imc.markovian_from(s).is_empty() {
-            let transitions: Vec<(usize, f64)> =
-                imc.markovian_from(s).iter().map(|m| (m.target as usize, m.rate)).collect();
-            mdp.add_choice(s as usize, ActionChoice { name: None, transitions });
-        }
-    }
-    Ok(mdp)
-}
-
 /// The result of a choice-preserving IMC → CTMDP lifting
 /// ([`to_ctmdp_lifted`]).
 #[derive(Debug, Clone)]
@@ -388,8 +344,8 @@ pub struct CtmdpConversion {
 /// them, so no choice structure is lost. Nondeterministic vanishing states
 /// become *instant* CTMDP states ([`Ctmdp::set_instant`]) with one
 /// probability-1 choice per internal option: zero sojourn time, true
-/// zero-cost preemption — unlike the [`INSTANT_RATE`] approximation of the
-/// plain [`to_ctmdp`]. Tangible states keep their Markovian race as a
+/// zero-cost preemption, with no pseudo-rate skew on expected times.
+/// Tangible states keep their Markovian race as a
 /// single combined choice (the race is resolved by the exponential clocks,
 /// not by the scheduler).
 ///
@@ -639,26 +595,10 @@ mod tests {
     }
 
     #[test]
-    fn ctmdp_gives_scheduler_bounds() {
-        // Nondeterministic τ: fast route (rate 10) vs slow route (rate 1).
-        let mut b = ImcBuilder::new();
-        let s: Vec<_> = (0..4).map(|_| b.add_state()).collect();
-        b.interactive(s[0], "i", s[1]);
-        b.interactive(s[0], "i", s[2]);
-        b.markovian(s[1], s[3], 10.0).unwrap();
-        b.markovian(s[2], s[3], 1.0).unwrap();
-        let mdp = to_ctmdp(&b.build(s[0])).expect("builds");
-        let lo = mdp.expected_time_to_reach(&[3], Opt::Min, 1e-12, 100_000).expect("vi");
-        let hi = mdp.expected_time_to_reach(&[3], Opt::Max, 1e-12, 100_000).expect("vi");
-        assert!((lo[0] - 0.1).abs() < 1e-6, "min bound {}", lo[0]);
-        assert!((hi[0] - 1.0).abs() < 1e-6, "max bound {}", hi[0]);
-    }
-
-    #[test]
     fn lifted_preserves_choice_bounds_exactly() {
-        // Same model as ctmdp_gives_scheduler_bounds, but the lifted form
-        // must give *exact* bounds (no 1/INSTANT_RATE skew) and eliminate
-        // nothing nondeterministic.
+        // Nondeterministic τ: fast route (rate 10) vs slow route (rate 1).
+        // The lifted form must give *exact* bounds (instant states, no
+        // pseudo-rate skew) and eliminate nothing nondeterministic.
         let mut b = ImcBuilder::new();
         let s: Vec<_> = (0..4).map(|_| b.add_state()).collect();
         b.interactive(s[0], "i", s[1]);

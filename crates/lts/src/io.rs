@@ -538,21 +538,25 @@ impl<'a> BltsReader<'a> {
         let uv = |bytes: &[u8], pos: &mut usize, what: &str| {
             read_uv(bytes, pos).ok_or_else(|| fail(*pos, format!("truncated {what}")))
         };
+        // Counts come from untrusted varints: compare against what is left
+        // (never add to them) so no crafted value can wrap the checks.
         let cstates = uv(self.bytes, &mut self.pos, "chunk state count")? as usize;
-        if cstates == 0 || self.next_state as usize + cstates > self.num_states as usize {
+        if cstates == 0 || cstates > (self.num_states - self.next_state) as usize {
             return Err(fail(self.pos, format!("chunk state count {cstates} out of range")));
         }
         let ctrans = uv(self.bytes, &mut self.pos, "chunk transition count")? as usize;
-        if self.trans_seen + ctrans > self.num_transitions {
+        if ctrans > self.num_transitions - self.trans_seen {
             return Err(fail(self.pos, format!("chunk transition count {ctrans} out of range")));
         }
         // Varints in these columns are at most 10 bytes each.
-        let degrees = self.read_column(cstates * 10, "degree")?;
-        let labcol = self.read_column(ctrans * 10, "label")?;
-        let dstcol = self.read_column(ctrans * 10, "target")?;
+        let degrees = self.read_column(cstates.saturating_mul(10), "degree")?;
+        let labcol = self.read_column(ctrans.saturating_mul(10), "label")?;
+        let dstcol = self.read_column(ctrans.saturating_mul(10), "target")?;
         let (mut dp, mut lp, mut tp) = (0usize, 0usize, 0usize);
         self.chunk.clear();
-        self.chunk.reserve(ctrans);
+        // Every transition takes at least one label byte: reserve no more
+        // than the decoded column can hold.
+        self.chunk.reserve(ctrans.min(labcol.len()));
         let err_at = self.pos;
         for i in 0..cstates {
             let s = self.next_state + i as u32;
@@ -604,7 +608,9 @@ impl<'a> BltsReader<'a> {
 /// (see [`BltsReader`]); never panics.
 pub fn read_blts(bytes: &[u8]) -> Result<Lts, BltsError> {
     let mut reader = BltsReader::new(bytes)?;
-    let mut transitions = Vec::with_capacity(reader.num_transitions);
+    // The header's transition count is untrusted: reserve no more than the
+    // input length can justify and let a genuine larger LTS grow the Vec.
+    let mut transitions = Vec::with_capacity(reader.num_transitions.min(bytes.len()));
     while let Some(chunk) = reader.next_chunk() {
         transitions.extend_from_slice(chunk?);
     }
@@ -779,6 +785,53 @@ mod tests {
         assert!(matches!(read_blts(&bytes), Err(e) if e.message.contains("version")));
         assert!(read_blts(b"").is_err());
         assert!(read_blts(b"BLTS").is_err());
+    }
+
+    /// Rewrites header field `field` (0 initial, 1 states, 2 transitions,
+    /// 3 labels) of a BLTS file to `value` and recomputes the trailer —
+    /// the checksum guards integrity, not hostility.
+    fn patch_header(bytes: &[u8], field: usize, value: u64) -> Vec<u8> {
+        let body = &bytes[..bytes.len() - 8];
+        let mut pos = 5;
+        let mut out = body[..5].to_vec();
+        for i in 0..4 {
+            let v = read_uv(body, &mut pos).expect("header varint");
+            write_uv(&mut out, if i == field { value } else { v });
+        }
+        out.extend_from_slice(&body[pos..]);
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn blts_huge_transition_count_is_an_error() {
+        // Reproducer: a 2^62 transition count used to size the transition
+        // Vec up front and abort with `capacity overflow`.
+        let bytes = write_blts(&medium_lts());
+        let err = read_blts(&patch_header(&bytes, 2, 1 << 62)).expect_err("hostile count");
+        assert!(err.message.contains("transitions"), "{}", err.message);
+        for field in 0..4 {
+            assert!(read_blts(&patch_header(&bytes, field, u64::MAX)).is_err(), "field {field}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Header counts no input of this size can justify — up to
+        /// `u64::MAX` — give an error, never a panic or a huge allocation.
+        #[test]
+        fn blts_hostile_header_counts_are_errors(
+            field in 0usize..4,
+            shift in 0u32..64,
+            low in 0u64..4096,
+        ) {
+            let lts = lts_from_triples(&[(0, "a !1", 1), (1, "i", 2), (2, "b", 0), (2, "a !2", 1)]);
+            let bytes = write_blts(&lts);
+            let value = (u64::MAX >> shift).saturating_sub(low).max(bytes.len() as u64 + 1);
+            proptest::prop_assert!(read_blts(&patch_header(&bytes, field, value)).is_err());
+        }
     }
 
     #[test]

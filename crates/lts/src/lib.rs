@@ -61,7 +61,7 @@ pub mod vbyte;
 pub use label::{LabelId, LabelTable};
 pub use lts::{Lts, LtsBuilder, StateId, Transition};
 pub use minimize::{Equivalence, Partition, ReductionStats};
-pub use multival_par::Workers;
+pub use multival_par::{SplitMix64, Workers};
 pub use pipeline::{
     canonicalize, monolithic, run_pipeline, AbortReason, MonolithicRun, Network, Order,
     PipelineOptions, PipelineRun, StageStats,

@@ -117,7 +117,9 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// stream is malformed (truncated, bad offset, or wrong decoded length).
 /// Never panics.
 pub fn decompress(input: &[u8], expected_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
+    // `expected_len` may come from an untrusted header; no input byte
+    // expands to more than `MAX_MATCH` output bytes.
+    let mut out = Vec::with_capacity(expected_len.min(input.len().saturating_mul(MAX_MATCH)));
     let mut pos = 0;
     while out.len() < expected_len {
         let ctrl = *input.get(pos)?;

@@ -8,7 +8,6 @@
 use crate::label::gate_of;
 use crate::lts::Lts;
 use crate::reach::materialize_with;
-use crate::store::{make_store, StoreConfig};
 use crate::ts::LazyProduct;
 use multival_par::Workers;
 use std::collections::{HashMap, HashSet};
@@ -107,26 +106,6 @@ pub fn compose_all(parts: &[&Lts], sync: &Sync) -> Lts {
 pub fn compose_all_with(parts: &[&Lts], sync: &Sync, workers: Workers) -> Lts {
     assert!(!parts.is_empty(), "compose_all needs at least one LTS");
     materialize_with(&LazyProduct::new(parts, sync), workers)
-}
-
-/// [`compose_all_with`] over a pluggable [`StateStore`](crate::store::StateStore) backend selected
-/// by `config` — the frontier dedup then lives in a packed arena or
-/// spills to disk instead of a per-state-allocating hash map. The result
-/// is byte-identical to [`compose_all_with`] for every backend and worker
-/// count (see [`crate::reach::materialize_store`]).
-///
-/// # Panics
-///
-/// Panics if `parts` is empty.
-pub fn compose_all_store(
-    parts: &[&Lts],
-    sync: &Sync,
-    workers: Workers,
-    config: &StoreConfig,
-) -> Lts {
-    assert!(!parts.is_empty(), "compose_all needs at least one LTS");
-    let mut store = make_store(config);
-    crate::reach::materialize_store(&LazyProduct::new(parts, sync), workers, store.as_mut())
 }
 
 /// Hides every label whose gate is in `gates`, turning it into τ

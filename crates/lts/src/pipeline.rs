@@ -39,7 +39,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::io::{fnv1a, read_blts, write_aut, write_blts};
@@ -47,10 +47,10 @@ use crate::label::gate_of;
 use crate::lts::{Lts, LtsBuilder};
 use crate::minimize::{minimize, Equivalence};
 use crate::ops::{self, Sync};
-use crate::reach::{self, ReachOptions};
-use crate::store::{StoreConfig, StoreKind};
+use crate::reach;
+use crate::store::{make_store, StoreConfig, StoreKind};
 use crate::ts::LazyProduct;
-use multival_par::Workers;
+use multival_par::{SplitMix64, Workers};
 
 /// The LOTOS successful-termination gate: always joint, never hidden early.
 const EXIT_GATE: &str = "exit";
@@ -181,8 +181,8 @@ pub struct PipelineOptions {
     /// Worker count for composition.
     pub workers: Workers,
     /// Inclusive cap on any intermediate product's state count: the stage
-    /// product is scanned lazily first and the pipeline aborts (with
-    /// partial progress) before materializing past the cap.
+    /// product stops growing at the first state past the cap and the
+    /// pipeline aborts with partial progress.
     pub max_states: Option<usize>,
     /// Wall-clock deadline, checked between stages.
     pub deadline: Option<Instant>,
@@ -228,17 +228,6 @@ pub struct StageStats {
     pub transitions_after: usize,
     /// Gates hidden at this stage (their possessors are now all folded).
     pub hidden: Vec<String>,
-}
-
-impl StageStats {
-    /// `states_after / states_before` (1.0 for an empty stage).
-    pub fn reduction_ratio(&self) -> f64 {
-        if self.states_before == 0 {
-            1.0
-        } else {
-            self.states_after as f64 / self.states_before as f64
-        }
-    }
 }
 
 /// Why a pipeline stopped early.
@@ -403,18 +392,20 @@ pub fn run_pipeline(network: &Network, options: &PipelineOptions) -> PipelineRun
         let (name, comp) = &network.components[idx];
         let product = if let Some(prev) = acc.as_ref() {
             let sync = stage_sync(&folded_alpha, &alphabets[idx], &network.sync_gates);
-            if let Some(cap) = options.max_states {
-                let lazy = LazyProduct::new(&[prev, comp], &sync);
-                let summary = reach::scan(&lazy, &ReachOptions::with_max_states(cap));
-                if summary.truncated {
+            let lazy = LazyProduct::new(&[prev, comp], &sync);
+            let cap = options.max_states.unwrap_or(usize::MAX);
+            let product = if options.store.kind == StoreKind::Hash {
+                reach::materialize_capped(&lazy, options.workers, cap)
+            } else {
+                let mut store = make_store(&options.store);
+                reach::materialize_store_capped(&lazy, options.workers, store.as_mut(), cap)
+            };
+            match product {
+                Some(product) => product,
+                None => {
                     abort = Some(AbortReason::MaxStates { stage: k, cap });
                     break;
                 }
-            }
-            if options.store.kind == StoreKind::Hash {
-                ops::compose_with(prev, comp, &sync, options.workers)
-            } else {
-                ops::compose_all_store(&[prev, comp], &sync, options.workers, &options.store)
             }
         } else {
             if let Some(cap) = options.max_states {
@@ -559,12 +550,11 @@ fn resolve_order(network: &Network, alphabets: &[BTreeSet<String>], order: Order
         Order::Given => (0..n).collect(),
         Order::Seeded(seed) => {
             let mut perm: Vec<usize> = (0..n).collect();
-            let mut state = seed;
+            let mut rng = SplitMix64::new(seed);
             // Fisher–Yates driven by splitmix64: deterministic per seed,
             // no dependence on std's RandomState.
             for i in (1..n).rev() {
-                let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
-                perm.swap(i, j);
+                perm.swap(i, rng.below(i + 1));
             }
             perm
         }
@@ -668,14 +658,6 @@ fn smart_order(network: &Network, alphabets: &[BTreeSet<String>]) -> Vec<usize> 
         acc.states = next_states;
     }
     order
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -890,15 +872,6 @@ impl Checkpoint {
         }
         Some((stages, lts))
     }
-}
-
-/// Lists the checkpoint files a pipeline writes for a network of `n`
-/// components into `dir` (manifest plus per-stage `.blts`), for callers
-/// that want to report or clean them.
-pub fn checkpoint_files(dir: &Path, n: usize) -> Vec<PathBuf> {
-    let mut files = vec![dir.join(MANIFEST_NAME)];
-    files.extend((0..n).map(|k| dir.join(format!("stage_{k}.blts"))));
-    files
 }
 
 #[cfg(test)]

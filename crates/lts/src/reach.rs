@@ -14,6 +14,7 @@ use crate::store::{PackState, StateStore};
 use crate::ts::TransitionSystem;
 use multival_par::fx::FxHashMap;
 use multival_par::{par_map, ShardedIndex, Workers};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// Caps for the on-the-fly searches.
@@ -81,8 +82,20 @@ pub fn materialize<T: TransitionSystem>(ts: &T) -> Lts {
 /// [`Workers::sequential`] — see the determinism contract in
 /// [`crate::ts`].
 pub fn materialize_with<T: TransitionSystem>(ts: &T, workers: Workers) -> Lts {
+    materialize_capped(ts, workers, usize::MAX).expect("an uncapped materialization completes")
+}
+
+/// [`materialize_with`] under an inclusive state cap: returns `None` as
+/// soon as a state beyond the first `max_states` would be admitted. The
+/// cap is checked only where a new state is numbered, so a run that stays
+/// under it costs the same as an uncapped one and yields the same LTS.
+pub fn materialize_capped<T: TransitionSystem>(
+    ts: &T,
+    workers: Workers,
+    max_states: usize,
+) -> Option<Lts> {
     if workers.is_sequential() {
-        return materialize_sequential(ts);
+        return materialize_sequential(ts, max_states);
     }
 
     /// Sentinel: provisional id not yet assigned a canonical number.
@@ -135,6 +148,9 @@ pub fn materialize_with<T: TransitionSystem>(ts: &T, workers: Workers) -> Lts {
             for (label, prov) in succ {
                 let mut dst = prov2canon[prov as usize];
                 if dst == NO_CANON {
+                    if num_states as usize >= max_states {
+                        return None;
+                    }
                     dst = num_states;
                     num_states += 1;
                     prov2canon[prov as usize] = dst;
@@ -150,7 +166,7 @@ pub fn materialize_with<T: TransitionSystem>(ts: &T, workers: Workers) -> Lts {
         }
         frontier = next_frontier;
     }
-    Lts::from_parts(ts.label_table(), num_states, 0, transitions)
+    Some(Lts::from_parts(ts.label_table(), num_states, 0, transitions))
 }
 
 /// [`materialize_with`] over a pluggable [`StateStore`]: visited-state
@@ -165,6 +181,22 @@ pub fn materialize_with<T: TransitionSystem>(ts: &T, workers: Workers) -> Lts {
 /// Only frontier states are kept as live values; the interior of the
 /// visited set exists solely as packed keys inside the store.
 pub fn materialize_store<T>(ts: &T, workers: Workers, store: &mut dyn StateStore) -> Lts
+where
+    T: TransitionSystem,
+    T::State: PackState,
+{
+    materialize_store_capped(ts, workers, store, usize::MAX)
+        .expect("an uncapped materialization completes")
+}
+
+/// [`materialize_store`] under an inclusive state cap, with the contract
+/// of [`materialize_capped`].
+pub fn materialize_store_capped<T>(
+    ts: &T,
+    workers: Workers,
+    store: &mut dyn StateStore,
+    max_states: usize,
+) -> Option<Lts>
 where
     T: TransitionSystem,
     T::State: PackState,
@@ -190,6 +222,9 @@ where
                 target.pack(&mut key);
                 let (dst, new) = store.get_or_insert(&key);
                 if new {
+                    if dst as usize >= max_states {
+                        return None;
+                    }
                     next.push((dst, target));
                 }
                 transitions.push((*src, label, dst));
@@ -197,10 +232,10 @@ where
         }
         frontier = next;
     }
-    Lts::from_parts(ts.label_table(), store.len() as u32, 0, transitions)
+    Some(Lts::from_parts(ts.label_table(), store.len() as u32, 0, transitions))
 }
 
-fn materialize_sequential<T: TransitionSystem>(ts: &T) -> Lts {
+fn materialize_sequential<T: TransitionSystem>(ts: &T, max_states: usize) -> Option<Lts> {
     let mut index: FxHashMap<T::State, StateId> = FxHashMap::default();
     // Queue entries carry their id, so a popped state is never re-hashed.
     let mut queue: VecDeque<(T::State, StateId)> = VecDeque::new();
@@ -213,14 +248,20 @@ fn materialize_sequential<T: TransitionSystem>(ts: &T) -> Lts {
     while let Some((state, src)) = queue.pop_front() {
         for (label, target) in ts.successors(&state) {
             let next = index.len() as StateId;
-            let dst = *index.entry(target).or_insert_with_key(|target| {
-                queue.push_back((target.clone(), next));
-                next
-            });
+            let dst = match index.entry(target) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(slot) => {
+                    if next as usize >= max_states {
+                        return None;
+                    }
+                    queue.push_back((slot.key().clone(), next));
+                    *slot.insert(next)
+                }
+            };
             transitions.push((src, label, dst));
         }
     }
-    Lts::from_parts(ts.label_table(), index.len() as u32, 0, transitions)
+    Some(Lts::from_parts(ts.label_table(), index.len() as u32, 0, transitions))
 }
 
 /// A streaming reachability scan: counts without storing the graph.

@@ -291,11 +291,6 @@ impl MpiModel {
         }
     }
 
-    /// Global node id of rank `p`.
-    pub fn node_of(&self, p: usize) -> usize {
-        self.node_ids[p]
-    }
-
     /// Is the state terminal (both programs finished)?
     pub fn finished(&self, s: &MpiState) -> bool {
         (0..2).all(|p| s.pc[p] as usize >= self.programs[p].len())

@@ -27,35 +27,8 @@ impl Default for GenConfig {
     }
 }
 
-/// The splitmix64 generator (same constants as `ctmc::mc`).
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    x: u64,
-}
-
-impl SplitMix64 {
-    /// Seeds the stream.
-    #[must_use]
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { x: seed }
-    }
-
-    /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
-        self.x = self.x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish draw in `0..n` (`n > 0`; modulo bias is irrelevant
-    /// for topology fuzzing).
-    pub fn below(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0);
-        (self.next_u64() % n as u64) as usize
-    }
-}
+/// The generator's PRNG: the workspace's one splitmix64 stream.
+pub use multival_lts::SplitMix64;
 
 /// One open (yet unconnected) output end during growth.
 #[derive(Debug, Clone)]

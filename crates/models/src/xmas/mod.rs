@@ -115,21 +115,6 @@ impl Prim {
             Prim::Fork | Prim::Switch { .. } => 2,
         }
     }
-
-    /// Human-readable primitive kind.
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Prim::Source { .. } => "source",
-            Prim::Sink => "sink",
-            Prim::Queue { .. } => "queue",
-            Prim::Fork => "fork",
-            Prim::Join => "join",
-            Prim::Switch { .. } => "switch",
-            Prim::Merge => "merge",
-            Prim::Function { .. } => "function",
-        }
-    }
 }
 
 /// A visible label attached to a channel: firings whose primary

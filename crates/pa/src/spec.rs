@@ -220,12 +220,6 @@ impl Spec {
     }
 }
 
-/// Normalizes a term for pretty display in diagnostics (no rewriting; kept
-/// as an extension point).
-pub fn display_term(t: &Term) -> String {
-    t.to_string()
-}
-
 impl Spec {
     /// Renders the specification back to mini-LOTOS source. The output
     /// re-parses to a specification whose state space is strongly bisimilar

@@ -16,8 +16,14 @@
 //!   their numeric values depend on scheduling, so callers that need
 //!   canonical numbering renumber during their sequential merge phase
 //!   (see `multival-pa`'s explorer).
+//!
+//! The crate also owns the workspace's deterministic building blocks that
+//! every layer shares: the [`fx`] hasher and the [`rng`] splitmix64 stream.
 
 pub mod fx;
+pub mod rng;
+
+pub use rng::{mix64, SplitMix64};
 
 use fx::FxBuildHasher;
 use std::collections::HashMap;
@@ -85,46 +91,17 @@ where
     par_map_min(workers, PAR_THRESHOLD, items, f)
 }
 
+/// Per-grab wall-time target for the adaptive stride: long enough that the
+/// cursor `fetch_add` and the timing call are noise, short enough that a
+/// straggler's final grab cannot dominate the tail.
+const TARGET_GRAB: Duration = Duration::from_micros(200);
+
 /// [`par_map`] with a caller-chosen sequential-fallback threshold.
 ///
 /// The default threshold is tuned for fine-grained per-state work; callers
 /// whose items are orders of magnitude coarser (e.g. whole Monte-Carlo
 /// trajectories) pass a smaller `min_parallel` so that even modest batches
 /// are distributed. The ordered-results determinism contract is unchanged.
-pub fn par_map_min<T, U, F>(workers: Workers, min_parallel: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_stats(workers, min_parallel, items, f).0
-}
-
-/// How a [`par_map_stats`] call actually scheduled its work. Because the
-/// ordered-results contract makes chunking invisible in the output, these
-/// numbers exist purely for performance reporting (the bench emitter
-/// records them next to wall times).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParStats {
-    /// Items mapped.
-    pub items: usize,
-    /// Threads that actually ran (1 means the sequential fast path: no
-    /// thread was spawned and no atomics were touched).
-    pub workers: usize,
-    /// Stride of the first grab from the shared cursor.
-    pub initial_chunk: usize,
-    /// Largest stride any worker grew to.
-    pub max_chunk: usize,
-    /// Number of grabs from the shared cursor (1 on the sequential path).
-    pub grabs: usize,
-}
-
-/// Per-grab wall-time target for the adaptive stride: long enough that the
-/// cursor `fetch_add` and the timing call are noise, short enough that a
-/// straggler's final grab cannot dominate the tail.
-const TARGET_GRAB: Duration = Duration::from_micros(200);
-
-/// [`par_map_min`] that also reports the chosen chunking ([`ParStats`]).
 ///
 /// Scheduling is adaptive to per-item cost: every worker starts with a
 /// small probe stride and doubles it after each grab that completes faster
@@ -139,12 +116,7 @@ const TARGET_GRAB: Duration = Duration::from_micros(200);
 /// thread with no spawn and no atomics. Spawning a lone scoped thread
 /// costs tens of microseconds per call, which is exactly the overhead that
 /// made BFS levels slower at `t4` than `t1` on one-core hosts.
-pub fn par_map_stats<T, U, F>(
-    workers: Workers,
-    min_parallel: usize,
-    items: &[T],
-    f: F,
-) -> (Vec<U>, ParStats)
+pub fn par_map_min<T, U, F>(workers: Workers, min_parallel: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -157,9 +129,7 @@ where
     let hw = std::thread::available_parallelism().map_or(usize::MAX, |p| p.get());
     let nworkers = workers.get().min(n).min(hw);
     if nworkers <= 1 || n < min_parallel.max(2) {
-        let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        let stats = ParStats { items: n, workers: 1, initial_chunk: n, max_chunk: n, grabs: 1 };
-        return (out, stats);
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     // Probe stride: fine-grained items keep the historical floor of 32,
     // coarse items (small `min_parallel`) may be grabbed one at a time.
@@ -167,8 +137,6 @@ where
     // Growth cap: leave every worker at least ~2 grabs for balancing.
     let stride_cap = (n / (nworkers * 2)).max(initial_chunk);
     let cursor = AtomicUsize::new(0);
-    let grabs = AtomicUsize::new(0);
-    let max_chunk = AtomicUsize::new(initial_chunk);
     let mut out: Vec<Option<U>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     let slots = SendSlices(out.as_mut_ptr());
@@ -176,8 +144,6 @@ where
     std::thread::scope(|scope| {
         for _ in 0..nworkers {
             let cursor = &cursor;
-            let grabs = &grabs;
-            let max_chunk = &max_chunk;
             let f = &f;
             let slots = &slots;
             scope.spawn(move || {
@@ -195,11 +161,9 @@ where
                         // is written twice or concurrently.
                         unsafe { slots.write(i, f(i, item)) };
                     }
-                    grabs.fetch_add(1, Ordering::Relaxed);
                     let dt = t0.elapsed();
                     if dt < TARGET_GRAB && stride < stride_cap {
                         stride = stride.saturating_mul(2).min(stride_cap);
-                        max_chunk.fetch_max(stride, Ordering::Relaxed);
                     } else if dt > TARGET_GRAB * 8 && stride > 1 {
                         stride /= 2;
                     }
@@ -208,14 +172,7 @@ where
         }
     });
 
-    let stats = ParStats {
-        items: n,
-        workers: nworkers,
-        initial_chunk,
-        max_chunk: max_chunk.into_inner(),
-        grabs: grabs.into_inner(),
-    };
-    (out.into_iter().map(|slot| slot.expect("slot filled")).collect(), stats)
+    out.into_iter().map(|slot| slot.expect("slot filled")).collect()
 }
 
 /// Shared mutable access to the result slots of [`par_map`], restricted
@@ -386,24 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn par_map_stats_sequential_path_reports_one_worker() {
-        let items: Vec<u32> = (0..10_000).collect();
-        let (out, stats) = par_map_stats(Workers::sequential(), 2, &items, |_, &x| x);
-        assert_eq!(out.len(), 10_000);
-        assert_eq!(stats.workers, 1);
-        assert_eq!(stats.grabs, 1);
-        assert_eq!(stats.items, 10_000);
-    }
-
-    #[test]
-    fn par_map_stats_parallel_matches_sequential() {
+    fn par_map_min_parallel_matches_sequential() {
         let items: Vec<u64> = (0..5_000).collect();
-        let (seq, _) = par_map_stats(Workers::sequential(), 2, &items, |i, &x| x + i as u64);
-        let (par, stats) = par_map_stats(Workers::new(4), 2, &items, |i, &x| x + i as u64);
+        let seq = par_map_min(Workers::sequential(), 2, &items, |i, &x| x + i as u64);
+        let par = par_map_min(Workers::new(4), 2, &items, |i, &x| x + i as u64);
         assert_eq!(seq, par);
-        assert!(stats.workers >= 1);
-        assert!(stats.max_chunk >= stats.initial_chunk);
-        assert!(stats.grabs >= 1);
     }
 
     #[test]

@@ -753,7 +753,7 @@ impl JobRequest {
             equivalence: self.eq,
             order: self.order,
             workers,
-            max_states: self.budget.max_states,
+            max_states: Some(self.budget.max_states_or(1_000_000)),
             deadline: self.budget.deadline(),
             checkpoint_dir: None,
             store: StoreConfig { kind: self.store, mem_budget: self.mem_budget },

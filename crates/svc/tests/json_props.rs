@@ -1,48 +1,34 @@
 //! Property tests for the service JSON codec: encode/decode round-trips,
 //! canonical-form invariants, and total (panic-free) parsing of noise.
 
+use multival_par::SplitMix64;
 use multival_svc::json::{parse, Json};
 use proptest::prelude::*;
 
-/// A tiny deterministic PRNG (splitmix64) so one `u64` seed expands into a
-/// whole random JSON document — the vendored proptest has no recursive
-/// strategy combinator, so the recursion lives here instead.
-struct Mix(u64);
+// One `u64` seed expands into a whole random JSON document through the
+// shared splitmix64 stream — the vendored proptest has no recursive
+// strategy combinator, so the recursion lives here instead.
 
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
-fn arb_string(rng: &mut Mix) -> String {
+fn arb_string(rng: &mut SplitMix64) -> String {
     // Quotes, backslashes, control characters, and non-ASCII all exercise
     // the escaping paths.
     const ALPHABET: [char; 14] =
         ['a', 'b', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1b}', 'é', '‰', '𝄞', ' '];
-    let len = rng.below(8) as usize;
-    (0..len).map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize]).collect()
+    let len = rng.below(8);
+    (0..len).map(|_| ALPHABET[rng.below(ALPHABET.len())]).collect()
 }
 
-fn arb_num(rng: &mut Mix) -> f64 {
+fn arb_num(rng: &mut SplitMix64) -> f64 {
     match rng.below(5) {
         0 => 0.0,
-        1 => rng.next() as i32 as f64,
-        2 => (rng.next() % 1_000_000_000) as f64,
-        3 => f64::from_bits(rng.next() % (1 << 62)).abs() % 1e18,
-        _ => -((rng.next() % 10_000) as f64) / 97.0,
+        1 => rng.next_u64() as i32 as f64,
+        2 => (rng.next_u64() % 1_000_000_000) as f64,
+        3 => f64::from_bits(rng.next_u64() % (1 << 62)).abs() % 1e18,
+        _ => -((rng.next_u64() % 10_000) as f64) / 97.0,
     }
 }
 
-fn arb_json(rng: &mut Mix, depth: usize) -> Json {
+fn arb_json(rng: &mut SplitMix64, depth: usize) -> Json {
     let leaf_only = depth == 0;
     match rng.below(if leaf_only { 4 } else { 6 }) {
         0 => Json::Null,
@@ -53,11 +39,11 @@ fn arb_json(rng: &mut Mix, depth: usize) -> Json {
         }
         3 => Json::Str(arb_string(rng)),
         4 => {
-            let n = rng.below(4) as usize;
+            let n = rng.below(4);
             Json::Arr((0..n).map(|_| arb_json(rng, depth - 1)).collect())
         }
         _ => {
-            let n = rng.below(4) as usize;
+            let n = rng.below(4);
             Json::Obj(
                 (0..n)
                     .map(|i| (format!("k{i}-{}", arb_string(rng)), arb_json(rng, depth - 1)))
@@ -74,7 +60,7 @@ proptest! {
     /// float bits, escaped strings, and nesting.
     #[test]
     fn encode_parse_roundtrip(seed in 0u64..u64::MAX) {
-        let value = arb_json(&mut Mix(seed), 4);
+        let value = arb_json(&mut SplitMix64::new(seed), 4);
         let text = value.to_string();
         let back = parse(&text).expect("own encoding parses");
         prop_assert_eq!(&back, &value);
@@ -85,7 +71,7 @@ proptest! {
     /// Canonicalization is idempotent and insensitive to member order.
     #[test]
     fn canonical_form_is_order_insensitive(seed in 0u64..u64::MAX) {
-        let mut rng = Mix(seed);
+        let mut rng = SplitMix64::new(seed);
         let value = arb_json(&mut rng, 3);
         let canon = value.canonicalized();
         prop_assert_eq!(canon.canonicalized().to_string(), canon.to_string());

@@ -18,21 +18,12 @@ use multival::models::fame2::coherence::Protocol;
 use multival::models::fame2::mpi::{MpiConfig, MpiImpl, MpiModel};
 use multival::models::fame2::topology::Topology;
 use multival::models::xstream::perf::{explore_pipeline, PerfConfig};
+use multival::par::SplitMix64;
 use std::collections::HashMap;
 
 const TOL: f64 = 1e-9;
 
 type Triple = (u32, &'static str, u32);
-
-/// SplitMix64: deterministic, platform-independent stream for the seeded
-/// random models (the repo convention for reproducible test randomness).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 const MARKOV_GATES: [&str; 3] = ["ga", "gb", "gc"];
 
@@ -47,23 +38,24 @@ fn markov_rates() -> HashMap<String, f64> {
 /// τ-cycles, and the spanning cycle keeps state `n-1` reachable under every
 /// scheduler, so all four measures are well-defined for every resolution.
 fn random_nondet_triples(seed: u64, n: u32) -> Vec<Triple> {
-    let mut s = seed;
+    let mut rng = SplitMix64::new(seed);
+    let mut draw = |k: u32| rng.below(k as usize) as u32;
     let mut t = Vec::new();
     for i in 0..n - 1 {
-        t.push((i, MARKOV_GATES[(splitmix(&mut s) % 3) as usize], i + 1));
+        t.push((i, MARKOV_GATES[draw(3) as usize], i + 1));
     }
-    t.push((n - 1, MARKOV_GATES[(splitmix(&mut s) % 3) as usize], 0));
+    t.push((n - 1, MARKOV_GATES[draw(3) as usize], 0));
     for _ in 0..n {
-        let a = (splitmix(&mut s) % u64::from(n)) as u32;
-        let b = (splitmix(&mut s) % u64::from(n)) as u32;
+        let a = draw(n);
+        let b = draw(n);
         if a != b {
-            t.push((a, MARKOV_GATES[(splitmix(&mut s) % 3) as usize], b));
+            t.push((a, MARKOV_GATES[draw(3) as usize], b));
         }
     }
     for _ in 0..n {
-        let a = (splitmix(&mut s) % u64::from(n - 1)) as u32;
-        let b = a + 1 + (splitmix(&mut s) % u64::from(n - 1 - a)) as u32;
-        let label = if splitmix(&mut s).is_multiple_of(2) { "choice" } else { "tick" };
+        let a = draw(n - 1);
+        let b = a + 1 + draw(n - 1 - a);
+        let label = if draw(2) == 0 { "choice" } else { "tick" };
         t.push((a, label, b));
     }
     t
@@ -151,8 +143,7 @@ fn random_models_sandwich_every_scheduler_resolution() {
             resolutions.push((
                 format!("seeded-random({salt})"),
                 resolve(&triples, |state, k| {
-                    let mut s = seed ^ (u64::from(state) << 32) ^ salt;
-                    (splitmix(&mut s) % k as u64) as usize
+                    SplitMix64::new(seed ^ (u64::from(state) << 32) ^ salt).below(k)
                 }),
             ));
         }

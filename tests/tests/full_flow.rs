@@ -1,7 +1,7 @@
 //! Integration: the complete §2–§4 flow on one model, cross-checked
 //! numerically against Monte-Carlo simulation.
 
-use multival::ctmc::simulate::Simulator;
+use multival::ctmc::McOptions;
 use multival::flow::Flow;
 use multival::imc::NondetPolicy;
 use multival::lts::minimize::Equivalence;
@@ -47,8 +47,9 @@ fn numeric_flow_matches_simulation() {
     rates.insert("release".to_owned(), 2.0);
     let solved = flow.with_rates(&rates).solve(NondetPolicy::Reject, &[]).expect("solves");
     let pi = solved.steady_state().expect("steady");
-    let est = Simulator::new(solved.ctmc(), 2024).occupancy(50_000.0);
-    for (s, (&exact, &sim)) in pi.iter().zip(&est.occupancy).enumerate() {
+    let run = solved.simulate_occupancy(500.0, &McOptions { seed: 2024, ..McOptions::default() });
+    for (s, (&exact, est)) in pi.iter().zip(&run.estimates).enumerate() {
+        let sim = est.mean;
         assert!((exact - sim).abs() < 0.02, "state {s}: exact {exact} vs simulated {sim}");
     }
 }

@@ -8,8 +8,10 @@
 //! studies, and pin the BLTS codec against the Aldebaran text format on
 //! random LTSs.
 
-use multival::lts::io::{read_aut, read_blts, write_aut, write_blts};
+use multival::cli::{execute, parse_args};
+use multival::lts::io::{fnv1a, read_aut, read_blts, write_aut, write_blts};
 use multival::lts::store::{StoreConfig, StoreKind};
+use multival::lts::vbyte::{read_uv, write_uv};
 use multival::lts::{Lts, LtsBuilder};
 use multival::models::fame2::network::ping_pong_source;
 use multival::models::faust::mesh::complement_source_n;
@@ -131,6 +133,38 @@ fn committed_3x3_mesh_model_matches_the_generator() {
         "examples/mesh_3x3.lot drifted from complement_source_n(3, Some(2)); \
          regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// A BLTS whose header claims 2^62 transitions (trailer recomputed: the
+/// checksum guards integrity, not hostility) is a decode error for the
+/// reader and for `multival explore`, not an allocation abort.
+#[test]
+fn hostile_blts_transition_count_is_a_decode_error() {
+    let path =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../examples/xmas_fab_3.lot");
+    let text = std::fs::read_to_string(&path).expect("committed examples/xmas_fab_3.lot");
+    let spec = parse_spec(&text).expect("parses");
+    let bytes = write_blts(&explore(&spec, &ExploreOptions::default()).expect("explores").lts);
+    // Header: magic, version, then varints initial / states / transitions.
+    let body = &bytes[..bytes.len() - 8];
+    let mut pos = 5;
+    let mut hostile = body[..5].to_vec();
+    for field in 0..3 {
+        let v = read_uv(body, &mut pos).expect("header varint");
+        write_uv(&mut hostile, if field == 2 { 1 << 62 } else { v });
+    }
+    hostile.extend_from_slice(&body[pos..]);
+    let sum = fnv1a(&hostile);
+    hostile.extend_from_slice(&sum.to_le_bytes());
+    assert!(read_blts(&hostile).is_err(), "hostile transition count accepted");
+
+    let file = std::env::temp_dir().join(format!("multival-hostile-{}.blts", std::process::id()));
+    std::fs::write(&file, &hostile).expect("writes");
+    let cmd = parse_args(&["explore".to_owned(), file.display().to_string()]).expect("parses");
+    let outcome = execute(&cmd);
+    let _ = std::fs::remove_file(&file);
+    let err = outcome.expect_err("explore must reject the file").to_string();
+    assert!(err.contains("transitions"), "{err}");
 }
 
 /// Decoding must fail loudly — never panic, never return a mangled LTS —
