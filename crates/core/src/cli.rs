@@ -4,26 +4,28 @@
 //! The logic lives here (testable); `src/bin/multival.rs` is a thin wrapper.
 
 use crate::budget::Budget;
+use crate::eval::{load, mc_options, rated, read, reduce, settle, Input, Limits, Model, Trip};
 use crate::flow::{BoundsSolved, Flow, Interval, Solved};
 use crate::report::{
-    fmt_f, BoundsReport, BoundsRow, BoundsVerdict, FlyStats, ParStats, ReduceStageRow, ReduceStats,
-    SimStats, StoreReport, Table,
+    fmt_f, BoundsReport, BoundsRow, BoundsVerdict, FlyStats, ParStats, ReduceStats, SimStats,
+    StoreReport, Table,
 };
 use multival_ctmc::McOptions;
 use multival_imc::to_ctmc::NondetPolicy;
 use multival_lts::equiv::{
     compare_determinized, determinize_ts, equivalent, weak_trace_equivalent, Determinized, Verdict,
 };
-use multival_lts::io::{read_aut, read_blts, write_aut, write_blts, write_dot};
+use multival_lts::io::{write_aut, write_blts, write_dot};
 use multival_lts::minimize::{minimize, Equivalence};
+use multival_lts::pipeline::{Order, PipelineOptions};
 use multival_lts::reach::ReachOptions;
-use multival_lts::Lts;
-use multival_pa::{explore, explore_partial, parse_spec, ExploreError, ExploreOptions};
+use multival_lts::store::StoreConfig;
+use multival_pa::{explore_partial, parse_spec};
 use multival_par::Workers;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// Exit status of an executed command, carried next to the rendered text so
 /// the binary can turn soft failures (budget trips, non-convergence) into
@@ -167,7 +169,7 @@ pub enum Command {
         /// Equivalence to minimize modulo at every stage.
         eq: Equivalence,
         /// Composition-order policy.
-        order: multival_lts::pipeline::Order,
+        order: Order,
         /// Write the reduced LTS in Aldebaran format here.
         aut: Option<String>,
         /// Write the reduced LTS in compact binary BLTS format here.
@@ -472,36 +474,24 @@ prints the service report.
 ///
 /// Returns a usage message on malformed invocations.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("explore") => {
-            let mut input = None;
-            let mut aut = None;
-            let mut blts = None;
-            let mut dot = None;
-            let mut budget = Budget::default();
-            let mut threads = 1usize;
-            let mut on_the_fly = false;
-            let mut store = None;
-            let mut mem_budget = None;
-            while let Some(a) = it.next() {
-                match a {
-                    "--aut" => aut = Some(next_value(&mut it, "--aut")?),
-                    "--blts" => blts = Some(next_value(&mut it, "--blts")?),
-                    "--dot" => dot = Some(next_value(&mut it, "--dot")?),
-                    "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
-                    "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
-                    "--threads" => threads = parse_flag(&mut it, a)?,
-                    "--on-the-fly" => on_the_fly = true,
-                    "--store" => store = Some(parse_store(&next_value(&mut it, "--store")?)?),
-                    "--mem-budget" => {
-                        mem_budget = Some(parse_mem(&next_value(&mut it, "--mem-budget")?)?)
-                    }
-                    other if input.is_none() => input = Some(other.to_owned()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
+    const BUDGET: [&str; 2] = ["--max-states", "--timeout-secs"];
+    const STORE: [&str; 2] = ["--store", "--mem-budget"];
+    let Some((verb, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    let flags =
+        |valued: &[&[&str]], switches: &[&str]| Args::read(rest, &valued.concat(), switches);
+    match verb.as_str() {
+        "help" | "--help" | "-h" => Ok(Command::Help),
+        "explore" => {
+            let a = flags(
+                &[&["--aut", "--blts", "--dot", "--threads"], &BUDGET, &STORE],
+                &["--on-the-fly"],
+            )?;
+            let (aut, blts, dot) = (a.text("--aut"), a.text("--blts"), a.text("--dot"));
+            let budget = a.budget()?;
+            let on_the_fly = a.has("--on-the-fly");
+            let store = a.get("--store", parse_store)?;
             if on_the_fly && (aut.is_some() || dot.is_some() || blts.is_some()) {
                 return Err("--on-the-fly materializes no LTS to write; \
                             drop --aut/--blts/--dot or the flag"
@@ -517,41 +507,26 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             the on-the-fly scan keeps no state table to back"
                     .to_owned());
             }
+            let [input] = a.positionals("explore needs a model path")?;
             Ok(Command::Explore {
-                input: input.ok_or("explore needs a model path")?,
+                input,
                 aut,
                 blts,
                 dot,
                 budget,
-                threads,
+                threads: a.num("--threads")?.unwrap_or(1),
                 on_the_fly,
                 store,
-                mem_budget,
+                mem_budget: a.get("--mem-budget", parse_mem)?,
             })
         }
-        Some("check") => {
-            let mut positional = Vec::new();
-            let mut on_the_fly = false;
-            let mut budget = Budget::default();
-            let mut rates = Vec::new();
-            let mut probes = Vec::new();
-            let mut scheduler = None;
-            while let Some(a) = it.next() {
-                match a {
-                    "--on-the-fly" => on_the_fly = true,
-                    "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
-                    "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
-                    "--rate" => rates.push(parse_rate(&next_value(&mut it, "--rate")?)?),
-                    "--probe" => probes.push(next_value(&mut it, "--probe")?),
-                    "--scheduler" => {
-                        scheduler = Some(parse_scheduler(&next_value(&mut it, "--scheduler")?)?)
-                    }
-                    other => positional.push(other.to_owned()),
-                }
-            }
-            if positional.len() != 2 {
-                return Err("check needs a model path and a formula".to_owned());
-            }
+        "check" => {
+            let a = flags(&[&["--rate", "--probe", "--scheduler"], &BUDGET], &["--on-the-fly"])?;
+            let [input, formula] = a.positionals("check needs a model path and a formula")?;
+            let rates = a.rates()?;
+            let probes = a.texts("--probe");
+            let scheduler = a.get("--scheduler", str::parse)?;
+            let on_the_fly = a.has("--on-the-fly");
             if rates.is_empty() && (scheduler.is_some() || !probes.is_empty()) {
                 return Err("--scheduler/--probe select the performance side of check; \
                             add at least one --rate GATE=RATE"
@@ -562,8 +537,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             predicates need the materialized Markov model"
                     .to_owned());
             }
-            let formula = positional.pop().expect("len 2");
-            let input = positional.pop().expect("len 1");
             Ok(Command::Check {
                 input,
                 formula,
@@ -571,382 +544,256 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 probes,
                 scheduler: scheduler.unwrap_or_default(),
                 on_the_fly,
-                budget,
+                budget: a.budget()?,
             })
         }
-        Some("minimize") => {
-            let mut input = None;
-            let mut eq = Equivalence::Branching;
-            let mut aut = None;
-            while let Some(a) = it.next() {
-                match a {
-                    "--eq" => {
-                        eq = match next_value(&mut it, "--eq")?.as_str() {
-                            "strong" => Equivalence::Strong,
-                            "branching" => Equivalence::Branching,
-                            other => return Err(format!("unknown equivalence `{other}`")),
-                        }
-                    }
-                    "--aut" => aut = Some(next_value(&mut it, "--aut")?),
-                    other if input.is_none() => input = Some(other.to_owned()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            Ok(Command::Minimize { input: input.ok_or("minimize needs an input")?, eq, aut })
+        "minimize" => {
+            let a = flags(&[&["--eq", "--aut"]], &[])?;
+            let [input] = a.positionals("minimize needs an input")?;
+            let eq = a.get("--eq", str::parse)?.unwrap_or(Equivalence::Branching);
+            Ok(Command::Minimize { input, eq, aut: a.text("--aut") })
         }
-        Some("reduce") => {
-            let mut input = None;
-            let mut eq = Equivalence::Branching;
-            let mut order = multival_lts::pipeline::Order::Smart;
-            let mut aut = None;
-            let mut blts = None;
-            let mut checkpoint = None;
-            let mut threads = 1usize;
-            let mut budget = Budget::default();
-            let mut store = None;
-            let mut mem_budget = None;
-            while let Some(a) = it.next() {
-                match a {
-                    "--eq" => {
-                        eq = match next_value(&mut it, "--eq")?.as_str() {
-                            "strong" => Equivalence::Strong,
-                            "branching" => Equivalence::Branching,
-                            other => return Err(format!("unknown equivalence `{other}`")),
-                        }
-                    }
-                    "--order" => order = parse_order(&next_value(&mut it, "--order")?)?,
-                    "--aut" => aut = Some(next_value(&mut it, "--aut")?),
-                    "--blts" => blts = Some(next_value(&mut it, "--blts")?),
-                    "--checkpoint" => checkpoint = Some(next_value(&mut it, "--checkpoint")?),
-                    "--threads" => threads = parse_flag(&mut it, a)?,
-                    "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
-                    "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
-                    "--store" => store = Some(parse_store(&next_value(&mut it, "--store")?)?),
-                    "--mem-budget" => {
-                        mem_budget = Some(parse_mem(&next_value(&mut it, "--mem-budget")?)?)
-                    }
-                    other if input.is_none() => input = Some(other.to_owned()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
+        "reduce" => {
+            let valued = ["--eq", "--order", "--aut", "--blts", "--checkpoint", "--threads"];
+            let a = flags(&[&valued, &BUDGET, &STORE], &[])?;
+            let [input] = a.positionals("reduce needs a model path")?;
             Ok(Command::Reduce {
-                input: input.ok_or("reduce needs a model path")?,
-                eq,
-                order,
-                aut,
-                blts,
-                checkpoint,
-                threads,
-                budget,
-                store,
-                mem_budget,
+                input,
+                eq: a.get("--eq", str::parse)?.unwrap_or(Equivalence::Branching),
+                order: a.get("--order", str::parse)?.unwrap_or(Order::Smart),
+                aut: a.text("--aut"),
+                blts: a.text("--blts"),
+                checkpoint: a.text("--checkpoint"),
+                threads: a.num("--threads")?.unwrap_or(1),
+                budget: a.budget()?,
+                store: a.get("--store", parse_store)?,
+                mem_budget: a.get("--mem-budget", parse_mem)?,
             })
         }
-        Some("compare") => {
-            let mut paths = Vec::new();
-            let mut relation = Relation::Branching;
-            let mut on_the_fly = false;
-            while let Some(a) = it.next() {
-                match a {
-                    "--eq" => {
-                        relation = match next_value(&mut it, "--eq")?.as_str() {
-                            "strong" => Relation::Strong,
-                            "branching" => Relation::Branching,
-                            "traces" => Relation::Traces,
-                            other => return Err(format!("unknown relation `{other}`")),
-                        }
-                    }
-                    "--on-the-fly" => on_the_fly = true,
-                    other => paths.push(other.to_owned()),
-                }
-            }
-            if paths.len() != 2 {
-                return Err("compare needs exactly two inputs".to_owned());
-            }
+        "compare" => {
+            let a = flags(&[&["--eq"]], &["--on-the-fly"])?;
+            let [left, right] = a.positionals("compare needs exactly two inputs")?;
+            let relation = a.get("--eq", str::parse)?.unwrap_or(Relation::Branching);
+            let on_the_fly = a.has("--on-the-fly");
             if on_the_fly && relation != Relation::Traces {
                 return Err("--on-the-fly compare supports --eq traces only; bisimulations \
                      need the materialized LTSs"
                     .to_owned());
             }
-            let right = paths.pop().expect("len 2");
-            let left = paths.pop().expect("len 1");
             Ok(Command::Compare { left, right, relation, on_the_fly })
         }
-        Some("lint") => {
-            let input = it.next().ok_or("lint needs a model path")?.to_owned();
-            if let Some(extra) = it.next() {
-                return Err(format!("unexpected argument `{extra}`"));
-            }
+        "lint" => {
+            let [input] = flags(&[], &[])?.positionals("lint needs a model path")?;
             Ok(Command::Lint { input })
         }
-        Some("fuzz") => {
-            let mut seeds = (0u64, 16u64);
-            let mut corpus = None;
-            let mut threads = 1usize;
-            let mut budget = Budget::default();
-            let mut max_steps = 7usize;
-            let mut max_colors = 2usize;
-            let mut max_cap = 2usize;
-            let mut inject_flip = false;
-            let mut store = None;
-            let mut mem_budget = None;
-            while let Some(a) = it.next() {
-                match a {
-                    "--seeds" => seeds = parse_seed_range(&next_value(&mut it, "--seeds")?)?,
-                    "--corpus" => corpus = Some(next_value(&mut it, "--corpus")?),
-                    "--threads" => threads = parse_flag(&mut it, a)?,
-                    "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
-                    "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
-                    "--max-steps" => max_steps = parse_flag(&mut it, a)?,
-                    "--max-colors" => max_colors = parse_flag(&mut it, a)?,
-                    "--max-cap" => max_cap = parse_flag(&mut it, a)?,
-                    "--inject-flip" => inject_flip = true,
-                    "--store" => store = Some(parse_store(&next_value(&mut it, "--store")?)?),
-                    "--mem-budget" => {
-                        mem_budget = Some(parse_mem(&next_value(&mut it, "--mem-budget")?)?)
-                    }
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
+        "fuzz" => {
+            let valued = ["--seeds", "--corpus", "--threads", "--max-steps", "--max-colors"];
+            let a = flags(&[&valued, &["--max-cap"], &BUDGET, &STORE], &["--inject-flip"])?;
+            a.positionals::<0>("")?;
             Ok(Command::Fuzz {
-                seeds,
-                corpus,
-                threads,
-                budget,
-                max_steps,
-                max_colors,
-                max_cap,
-                inject_flip,
-                store,
-                mem_budget,
+                seeds: a.get("--seeds", parse_seed_range)?.unwrap_or((0, 16)),
+                corpus: a.text("--corpus"),
+                threads: a.num("--threads")?.unwrap_or(1),
+                budget: a.budget()?,
+                max_steps: a.num("--max-steps")?.unwrap_or(7),
+                max_colors: a.num("--max-colors")?.unwrap_or(2),
+                max_cap: a.num("--max-cap")?.unwrap_or(2),
+                inject_flip: a.has("--inject-flip"),
+                store: a.get("--store", parse_store)?,
+                mem_budget: a.get("--mem-budget", parse_mem)?,
             })
         }
-        Some("walk") => {
-            let mut input = None;
-            let mut steps = 20usize;
-            let mut seed = 0u64;
-            while let Some(a) = it.next() {
-                match a {
-                    "--steps" => {
-                        steps = next_value(&mut it, "--steps")?
-                            .parse()
-                            .map_err(|_| "--steps needs a number".to_owned())?
-                    }
-                    "--seed" => {
-                        seed = next_value(&mut it, "--seed")?
-                            .parse()
-                            .map_err(|_| "--seed needs a number".to_owned())?
-                    }
-                    other if input.is_none() => input = Some(other.to_owned()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            Ok(Command::Walk { input: input.ok_or("walk needs a model path")?, steps, seed })
+        "walk" => {
+            let a = flags(&[&["--steps", "--seed"]], &[])?;
+            let [input] = a.positionals("walk needs a model path")?;
+            let steps = a.num("--steps")?.unwrap_or(20);
+            Ok(Command::Walk { input, steps, seed: a.num("--seed")?.unwrap_or(0) })
         }
-        Some("refines") => {
-            let mut paths = Vec::new();
-            let mut weak = false;
-            for a in it.by_ref() {
-                match a {
-                    "--weak" => weak = true,
-                    other => paths.push(other.to_owned()),
-                }
-            }
-            if paths.len() != 2 {
-                return Err("refines needs exactly two inputs".to_owned());
-            }
-            let spec = paths.pop().expect("len 2");
-            let imp = paths.pop().expect("len 1");
-            Ok(Command::Refines { imp, spec, weak })
+        "refines" => {
+            let a = flags(&[], &["--weak"])?;
+            let [imp, spec] = a.positionals("refines needs exactly two inputs")?;
+            Ok(Command::Refines { imp, spec, weak: a.has("--weak") })
         }
-        Some("solve") => {
-            let mut input = None;
-            let mut rates = Vec::new();
-            let mut probes = Vec::new();
-            while let Some(a) = it.next() {
-                match a {
-                    "--rate" => rates.push(parse_rate(&next_value(&mut it, "--rate")?)?),
-                    "--probe" => probes.push(next_value(&mut it, "--probe")?),
-                    other if input.is_none() => input = Some(other.to_owned()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
+        "solve" => {
+            let a = flags(&[&["--rate", "--probe"]], &[])?;
+            let rates = a.rates()?;
             if rates.is_empty() {
                 return Err("solve needs at least one --rate GATE=RATE".to_owned());
             }
-            Ok(Command::Solve { input: input.ok_or("solve needs a model path")?, rates, probes })
+            let [input] = a.positionals("solve needs a model path")?;
+            Ok(Command::Solve { input, rates, probes: a.texts("--probe") })
         }
-        Some("simulate") => {
-            let mut input = None;
-            let mut rates = Vec::new();
-            let mut probes = Vec::new();
-            let mut horizon = 100.0f64;
-            let mut time = None;
-            let mut trajectories = 20_000usize;
-            let mut seed = 42u64;
-            let mut threads = 1usize;
-            let mut rel_width = 0.05f64;
-            let mut confidence = 0.99f64;
-            let mut budget = Budget::default();
-            let mut scheduler = Scheduler::Uniform;
-            while let Some(a) = it.next() {
-                match a {
-                    "--rate" => rates.push(parse_rate(&next_value(&mut it, "--rate")?)?),
-                    "--probe" => probes.push(next_value(&mut it, "--probe")?),
-                    "--horizon" => {
-                        horizon = next_value(&mut it, "--horizon")?
-                            .parse()
-                            .map_err(|_| "--horizon needs a number".to_owned())?
-                    }
-                    "--time" => {
-                        time = Some(
-                            next_value(&mut it, "--time")?
-                                .parse()
-                                .map_err(|_| "--time needs a number".to_owned())?,
-                        )
-                    }
-                    "--trajectories" => {
-                        trajectories = next_value(&mut it, "--trajectories")?
-                            .parse()
-                            .map_err(|_| "--trajectories needs an integer".to_owned())?
-                    }
-                    "--seed" => {
-                        seed = next_value(&mut it, "--seed")?
-                            .parse()
-                            .map_err(|_| "--seed needs an integer".to_owned())?
-                    }
-                    "--threads" => {
-                        threads = next_value(&mut it, "--threads")?
-                            .parse()
-                            .map_err(|_| "--threads needs an integer".to_owned())?
-                    }
-                    "--rel-width" => {
-                        rel_width = next_value(&mut it, "--rel-width")?
-                            .parse()
-                            .map_err(|_| "--rel-width needs a number".to_owned())?
-                    }
-                    "--confidence" => {
-                        confidence = next_value(&mut it, "--confidence")?
-                            .parse()
-                            .map_err(|_| "--confidence needs a number".to_owned())?
-                    }
-                    "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
-                    "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
-                    "--scheduler" => {
-                        scheduler = parse_scheduler(&next_value(&mut it, "--scheduler")?)?
-                    }
-                    other if input.is_none() => input = Some(other.to_owned()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
+        "simulate" => {
+            let valued = ["--rate", "--probe", "--horizon", "--time", "--trajectories", "--seed"];
+            let more = ["--threads", "--rel-width", "--confidence", "--scheduler"];
+            let a = flags(&[&valued, &more, &BUDGET], &[])?;
+            let rates = a.rates()?;
             if rates.is_empty() {
                 return Err("simulate needs at least one --rate GATE=RATE".to_owned());
             }
+            let confidence = a.num("--confidence")?.unwrap_or(0.99);
             if !(confidence > 0.0 && confidence < 1.0) {
                 return Err("--confidence must lie in (0, 1)".to_owned());
             }
+            let scheduler = a.get("--scheduler", str::parse)?.unwrap_or_default();
             if matches!(scheduler, Scheduler::Min | Scheduler::Max) {
                 return Err("simulate samples one concrete resolution; --scheduler min|max \
                             have no sampling semantics (use bounds here, or `check`)"
                     .to_owned());
             }
+            let [input] = a.positionals("simulate needs a model path")?;
             Ok(Command::Simulate {
-                input: input.ok_or("simulate needs a model path")?,
+                input,
                 rates,
-                probes,
-                horizon,
-                time,
-                trajectories,
-                seed,
-                threads,
-                rel_width,
+                probes: a.texts("--probe"),
+                horizon: a.num("--horizon")?.unwrap_or(100.0),
+                time: a.num("--time")?,
+                trajectories: a.num("--trajectories")?.unwrap_or(20_000),
+                seed: a.num("--seed")?.unwrap_or(42),
+                threads: a.num("--threads")?.unwrap_or(1),
+                rel_width: a.num("--rel-width")?.unwrap_or(0.05),
                 confidence,
-                budget,
+                budget: a.budget()?,
                 scheduler,
             })
         }
-        Some("serve") => {
-            let mut addr = "127.0.0.1:7171".to_owned();
-            let mut cache_dir = None;
-            let mut workers = 2usize;
-            let mut queue_cap = 64usize;
-            let mut cache_capacity = 256usize;
-            let mut journal = None;
-            let mut event_threads = 2usize;
-            while let Some(a) = it.next() {
-                match a {
-                    "--addr" => addr = next_value(&mut it, "--addr")?,
-                    "--cache-dir" => cache_dir = Some(next_value(&mut it, "--cache-dir")?),
-                    "--workers" => workers = parse_flag(&mut it, a)?,
-                    "--queue-cap" => queue_cap = parse_flag(&mut it, a)?,
-                    "--cache-capacity" => cache_capacity = parse_flag(&mut it, a)?,
-                    "--journal" => journal = Some(next_value(&mut it, "--journal")?),
-                    "--event-threads" => event_threads = parse_flag(&mut it, a)?,
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
+        "serve" => {
+            let valued = ["--addr", "--cache-dir", "--workers", "--queue-cap", "--cache-capacity"];
+            let a = flags(&[&valued, &["--journal", "--event-threads"]], &[])?;
+            a.positionals::<0>("")?;
+            let workers = a.num("--workers")?.unwrap_or(2);
             if workers == 0 {
                 return Err("--workers must be at least 1".to_owned());
             }
+            let queue_cap = a.num("--queue-cap")?.unwrap_or(64);
             if queue_cap == 0 {
                 return Err("--queue-cap must be at least 1".to_owned());
             }
+            let event_threads = a.num("--event-threads")?.unwrap_or(2);
             if event_threads == 0 {
                 return Err("--event-threads must be at least 1".to_owned());
             }
             Ok(Command::Serve {
-                addr,
-                cache_dir,
+                addr: a.text("--addr").unwrap_or_else(|| "127.0.0.1:7171".to_owned()),
+                cache_dir: a.text("--cache-dir"),
                 workers,
                 queue_cap,
-                cache_capacity,
-                journal,
+                cache_capacity: a.num("--cache-capacity")?.unwrap_or(256),
+                journal: a.text("--journal"),
                 event_threads,
             })
         }
-        Some("explore-space") => {
-            let mut spec = None;
-            let mut workers = 2usize;
-            let mut endpoint = None;
-            let mut cache_dir = None;
-            let mut max_states = None;
-            while let Some(a) = it.next() {
-                match a {
-                    "--workers" => workers = parse_flag(&mut it, a)?,
-                    "--endpoint" => endpoint = Some(next_value(&mut it, "--endpoint")?),
-                    "--cache-dir" => cache_dir = Some(next_value(&mut it, "--cache-dir")?),
-                    "--max-states" => max_states = Some(parse_flag(&mut it, a)?),
-                    other if !other.starts_with('-') && spec.is_none() => {
-                        spec = Some(other.to_owned());
-                    }
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
+        "explore-space" => {
+            let a = flags(&[&["--workers", "--endpoint", "--cache-dir", "--max-states"]], &[])?;
+            if let Some(flag) = a.positional.iter().find(|p| p.starts_with('-')) {
+                return Err(format!("unexpected argument `{flag}`"));
             }
-            let spec = spec.ok_or("explore-space needs a sweep spec path")?;
+            let [spec] = a.positionals("explore-space needs a sweep spec path")?;
+            let workers = a.num("--workers")?.unwrap_or(2);
             if workers == 0 {
                 return Err("--workers must be at least 1".to_owned());
             }
+            let (endpoint, cache_dir) = (a.text("--endpoint"), a.text("--cache-dir"));
             if endpoint.is_some() && cache_dir.is_some() {
                 return Err("--cache-dir applies to the in-process engine; with --endpoint the \
                      server owns the cache"
                     .to_owned());
             }
-            Ok(Command::ExploreSpace { spec, workers, endpoint, cache_dir, max_states })
+            Ok(Command::ExploreSpace {
+                spec,
+                workers,
+                endpoint,
+                cache_dir,
+                max_states: a.num("--max-states")?,
+            })
         }
-        Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     }
 }
 
-/// Parses an `--order` value: `smart`, `given`, or `seed:N`.
-fn parse_order(value: &str) -> Result<multival_lts::pipeline::Order, String> {
-    use multival_lts::pipeline::Order;
-    match value {
-        "smart" => Ok(Order::Smart),
-        "given" => Ok(Order::Given),
-        other => match other.strip_prefix("seed:").and_then(|s| s.parse().ok()) {
-            Some(seed) => Ok(Order::Seeded(seed)),
-            None => Err(format!("unknown order `{other}` (expected smart, given, or seed:N)")),
-        },
+/// The arguments after a verb, split by the verb's flag list: a valued
+/// flag takes the next argument as its value, a switch stands alone, and
+/// any other argument is positional.
+struct Args<'a> {
+    /// The arguments that are not flags, in order.
+    positional: Vec<&'a str>,
+    /// `(flag, value)` pairs in order; a switch has an empty value.
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    fn read(args: &'a [String], valued: &[&str], switches: &[&str]) -> Result<Args<'a>, String> {
+        let mut out = Args { positional: Vec::new(), flags: Vec::new() };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(a) = it.next() {
+            if valued.contains(&a) {
+                out.flags.push((a, it.next().ok_or_else(|| format!("{a} needs a value"))?));
+            } else if switches.contains(&a) {
+                out.flags.push((a, ""));
+            } else {
+                out.positional.push(a);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Exactly `N` positional arguments; `missing` when there are fewer.
+    fn positionals<const N: usize>(&self, missing: &str) -> Result<[String; N], String> {
+        if let Some(extra) = self.positional.get(N) {
+            return Err(format!("unexpected argument `{extra}`"));
+        }
+        let owned: Vec<String> = self.positional.iter().map(|&p| p.to_owned()).collect();
+        owned.try_into().map_err(|_| missing.to_owned())
+    }
+
+    fn values(&self, flag: &'a str) -> impl Iterator<Item = &'a str> + '_ {
+        self.flags.iter().filter(move |(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+
+    fn has(&self, switch: &'a str) -> bool {
+        self.values(switch).next().is_some()
+    }
+
+    /// Every value of a repeatable flag.
+    fn texts(&self, flag: &'a str) -> Vec<String> {
+        self.values(flag).map(str::to_owned).collect()
+    }
+
+    /// The last value of a flag.
+    fn text(&self, flag: &'a str) -> Option<String> {
+        self.values(flag).last().map(str::to_owned)
+    }
+
+    /// The last value of a flag through `parse`; every value must parse.
+    fn get<T>(
+        &self,
+        flag: &'a str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let mut last = None;
+        for value in self.values(flag) {
+            last = Some(parse(value)?);
+        }
+        Ok(last)
+    }
+
+    /// The last value of a numeric flag.
+    fn num<T: std::str::FromStr>(&self, flag: &'a str) -> Result<Option<T>, String> {
+        self.get(flag, |v| v.parse().map_err(|_| format!("{flag} needs a number")))
+    }
+
+    /// Every `--rate GATE=RATE`.
+    fn rates(&self) -> Result<Vec<(String, f64)>, String> {
+        self.values("--rate").map(parse_rate).collect()
+    }
+
+    /// `--max-states N` and `--timeout-secs T`.
+    fn budget(&self) -> Result<Budget, String> {
+        let budget = Budget { max_states: self.num("--max-states")?, ..Budget::default() };
+        Ok(match self.num("--timeout-secs")? {
+            Some(secs) => budget.with_timeout_secs(secs),
+            None => budget,
+        })
     }
 }
 
@@ -958,24 +805,40 @@ fn parse_rate(spec: &str) -> Result<(String, f64), String> {
     Ok((gate.to_owned(), rate))
 }
 
-/// Parses a `--scheduler` value: `min`, `max`, `bounds`, or `uniform`.
-fn parse_scheduler(value: &str) -> Result<Scheduler, String> {
-    match value {
-        "uniform" => Ok(Scheduler::Uniform),
-        "min" => Ok(Scheduler::Min),
-        "max" => Ok(Scheduler::Max),
-        "bounds" => Ok(Scheduler::Bounds),
-        other => {
-            Err(format!("unknown scheduler `{other}` (expected min, max, bounds, or uniform)"))
+/// `min`, `max`, `bounds`, or `uniform`.
+impl std::str::FromStr for Scheduler {
+    type Err = String;
+
+    fn from_str(value: &str) -> Result<Scheduler, String> {
+        match value {
+            "uniform" => Ok(Scheduler::Uniform),
+            "min" => Ok(Scheduler::Min),
+            "max" => Ok(Scheduler::Max),
+            "bounds" => Ok(Scheduler::Bounds),
+            other => {
+                Err(format!("unknown scheduler `{other}` (expected min, max, bounds, or uniform)"))
+            }
         }
     }
 }
 
-/// Parses a `--store` value: `hash`, `arena`, or `spill`.
+/// `strong`, `branching`, or `traces`.
+impl std::str::FromStr for Relation {
+    type Err = String;
+
+    fn from_str(value: &str) -> Result<Relation, String> {
+        match value {
+            "strong" => Ok(Relation::Strong),
+            "branching" => Ok(Relation::Branching),
+            "traces" => Ok(Relation::Traces),
+            other => Err(format!("unknown relation `{other}`")),
+        }
+    }
+}
+
+/// Parses a `--store` value in [`multival_lts::StoreKind`]'s spelling.
 fn parse_store(value: &str) -> Result<multival_lts::StoreKind, String> {
-    value
-        .parse()
-        .map_err(|_| format!("unknown store backend `{value}` (expected hash, arena, or spill)"))
+    value.parse()
 }
 
 /// Parses a `--mem-budget` value: plain bytes, or with a `k`/`m`/`g`
@@ -1004,37 +867,23 @@ fn parse_seed_range(value: &str) -> Result<(u64, u64), String> {
     Ok((start, end))
 }
 
-fn next_value<'a>(it: &mut impl Iterator<Item = &'a str>, flag: &str) -> Result<String, String> {
-    it.next().map(str::to_owned).ok_or_else(|| format!("{flag} needs a value"))
-}
-
-/// Takes and parses the value of a numeric flag.
-fn parse_flag<'a, T: std::str::FromStr>(
-    it: &mut impl Iterator<Item = &'a str>,
-    flag: &str,
-) -> Result<T, String> {
-    next_value(it, flag)?.parse().map_err(|_| format!("{flag} needs a number"))
-}
-
 /// Runs `check --on-the-fly`. Returns `Ok(None)` when the formula is
 /// outside the searchable fragment, directing the caller to the eager
 /// evaluator.
 fn check_on_the_fly(input: &str, formula: &str) -> Result<Option<String>, Box<dyn Error>> {
     let options = ReachOptions::default();
-    let (report, materialized) = if is_lts_file(input) {
-        let lts = load(input, 0)?;
-        let f = multival_mcl::parse_formula(formula)?;
-        match multival_mcl::check_on_the_fly(&lts, &f, &options) {
-            None => return Ok(None),
-            Some(r) => (r?, lts.num_states()),
+    let (report, materialized) = match read(Model::Path(input))? {
+        Input::Lts(lts) => {
+            let f = multival_mcl::parse_formula(formula)?;
+            match multival_mcl::check_on_the_fly(&lts, &f, &options) {
+                None => return Ok(None),
+                Some(r) => (r?, lts.num_states()),
+            }
         }
-    } else {
-        let text =
-            std::fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
-        match Flow::check_on_the_fly(&text, formula, &options)? {
+        Input::Source(text) => match Flow::check_on_the_fly(&text, formula, &options)? {
             None => return Ok(None),
             Some(r) => (r, 0),
-        }
+        },
     };
     let mut out = String::new();
     let _ = writeln!(out, "{}", if report.holds { "TRUE" } else { "FALSE" });
@@ -1225,7 +1074,7 @@ fn check_performance(
     rates: &[(String, f64)],
     probes: &[String],
     scheduler: Scheduler,
-    budget: &Budget,
+    limits: &Limits,
 ) -> Result<CmdOut, Box<dyn Error>> {
     let pred = parse_perf_predicate(predicate)?;
     let mut probes: Vec<String> = probes.to_vec();
@@ -1234,22 +1083,11 @@ fn check_performance(
             probes.push(gate.clone());
         }
     }
-    let lts = match load_budgeted(input, budget)? {
+    let lts = match load(Model::Path(input), limits)? {
         Ok(lts) => lts,
-        Err((partial, err)) => {
-            return Ok(CmdOut::with_status(
-                format!(
-                    "Budget exceeded: {err}\n\
-                     NO VERDICT: the measure needs the full state space \
-                     ({} states explored)\n",
-                    partial.num_states()
-                ),
-                CmdStatus::BudgetExceeded,
-            ));
-        }
+        Err(trip) => return Ok(withheld(&trip, "measure")),
     };
-    let rate_map: HashMap<String, f64> = rates.iter().cloned().collect();
-    let perf = Flow::from_lts(lts).with_rates(&rate_map);
+    let perf = rated(lts, rates);
     let probe_refs: Vec<&str> = probes.iter().map(String::as_str).collect();
     let mut out = String::new();
     let interval = if scheduler == Scheduler::Uniform {
@@ -1259,9 +1097,8 @@ fn check_performance(
         Interval { min: v, max: v }
     } else {
         let bounds = perf.solve_bounds(&probe_refs)?;
-        let mdp = bounds.mdp();
-        let instant = (0..mdp.num_states()).filter(|&s| mdp.is_instant(s)).count();
-        let _ = writeln!(out, "ctmdp states: {} ({instant} instant)", mdp.num_states());
+        let (states, instant) = (bounds.mdp().num_states(), bounds.instant_states());
+        let _ = writeln!(out, "ctmdp states: {states} ({instant} instant)");
         let full = eval_measure_bounds(&bounds, &pred.measure)?;
         match scheduler {
             Scheduler::Min => Interval { min: full.min, max: full.min },
@@ -1337,75 +1174,45 @@ fn occupancy_bounds_table(
     Ok(out)
 }
 
-/// Determinizes one `compare --on-the-fly` input: a `.aut` file via its
+/// Determinizes one `compare --on-the-fly` input: an LTS file via its
 /// explicit LTS, a mini-LOTOS source straight from the term graph.
 fn determinize_input(path: &str) -> Result<Determinized, Box<dyn Error>> {
     const CAP: usize = 1 << 20;
-    if is_lts_file(path) {
-        let lts = load(path, CAP)?;
-        determinize_ts(&lts, CAP)
-            .ok_or_else(|| format!("determinization cap of {CAP} subset states exceeded").into())
-    } else {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        Ok(Flow::determinize_source(&text, CAP)?)
+    match read(Model::Path(path))? {
+        Input::Lts(lts) => determinize_ts(&lts, CAP)
+            .ok_or_else(|| format!("determinization cap of {CAP} subset states exceeded").into()),
+        Input::Source(text) => Ok(Flow::determinize_source(&text, CAP)?),
     }
 }
 
-/// True when a path names an already-materialized LTS file rather than a
-/// mini-LOTOS source: Aldebaran text (`.aut`) or compact binary (`.blts`).
-fn is_lts_file(path: &str) -> bool {
-    path.ends_with(".aut") || path.ends_with(".blts")
+/// The output of a verb whose model tripped the budget: no answer, exit 3.
+fn withheld(trip: &Trip, answer: &str) -> CmdOut {
+    CmdOut::with_status(
+        format!(
+            "{trip}\nNO VERDICT: the {answer} needs the full state space ({} states explored)\n",
+            trip.partial.num_states()
+        ),
+        CmdStatus::BudgetExceeded,
+    )
 }
 
-/// Loads a `.blts` file (binary, so outside the `read_to_string` path).
-fn load_blts(path: &str) -> Result<Lts, Box<dyn Error>> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    Ok(read_blts(&bytes)?)
-}
-
-/// Loads an input: `.aut`/`.blts` files are parsed as LTSs, everything
-/// else as mini-LOTOS (explored with the given cap).
-fn load(path: &str, max_states: usize) -> Result<Lts, Box<dyn Error>> {
-    if path.ends_with(".blts") {
-        return load_blts(path);
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    if path.ends_with(".aut") {
-        Ok(read_aut(&text)?)
-    } else {
-        let spec = parse_spec(&text)?;
-        Ok(explore(&spec, &ExploreOptions::with_max_states(max_states))?.lts)
-    }
-}
-
-/// Budget-aware [`load`]: a `.aut` input is already materialized and loads
-/// fully; a mini-LOTOS source is explored under the budget, and a tripped
-/// budget comes back as `Ok(Err((partial_lts, reason)))` so callers can
-/// report partial results.
-#[allow(clippy::type_complexity)]
-fn load_budgeted(
-    path: &str,
-    budget: &Budget,
-) -> Result<Result<Lts, (Lts, ExploreError)>, Box<dyn Error>> {
-    if path.ends_with(".blts") {
-        return Ok(Ok(load_blts(path)?));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    if path.ends_with(".aut") {
-        Ok(Ok(read_aut(&text)?))
-    } else {
-        let spec = parse_spec(&text)?;
-        let mut options = ExploreOptions::with_max_states(budget.max_states_or(1_000_000));
-        if let Some(deadline) = budget.deadline() {
-            options = options.with_deadline(deadline);
-        }
-        let exploration = explore_partial(&spec, &options);
-        Ok(match exploration.aborted {
-            Some(err) => Err((exploration.explored.lts, err)),
-            None => Ok(exploration.explored.lts),
-        })
-    }
+/// Runs `explore --on-the-fly`: an LTS file is scanned over its explicit
+/// states, a mini-LOTOS source straight over its term graph.
+fn explore_on_the_fly(input: &str, limits: &Limits) -> Result<CmdOut, Box<dyn Error>> {
+    let options = ReachOptions::with_max_states(limits.max_states);
+    let (summary, materialized) = match read(Model::Path(input))? {
+        Input::Lts(lts) => (multival_lts::reach::scan(&lts, &options), lts.num_states()),
+        Input::Source(text) => (Flow::scan_on_the_fly(&text, &options)?, 0),
+    };
+    let stats = FlyStats {
+        visited: summary.states,
+        transitions: summary.transitions,
+        materialized,
+        truncated: summary.truncated,
+    };
+    let mut out = stats.render();
+    let _ = writeln!(out, "deadlock states: {}", summary.deadlocks);
+    Ok(out.into())
 }
 
 /// Executes a command, returning the text to print plus its exit status.
@@ -1433,93 +1240,62 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             store,
             mem_budget,
         } => {
+            let limits = Limits::start(budget);
+            if *on_the_fly {
+                return explore_on_the_fly(input, &limits);
+            }
             let mut out = String::new();
             let mut status = CmdStatus::Ok;
-            let max_states = budget.max_states_or(1_000_000);
-            if *on_the_fly {
-                let options = ReachOptions::with_max_states(max_states);
-                // A .aut/.blts input is already an explicit LTS, so the scan
-                // walks materialized states; a mini-LOTOS source is walked
-                // straight over its term graph.
-                let (summary, materialized) = if is_lts_file(input) {
-                    let lts = load(input, max_states)?;
-                    (multival_lts::reach::scan(&lts, &options), lts.num_states())
-                } else {
-                    let text = std::fs::read_to_string(input)
-                        .map_err(|e| format!("cannot read `{input}`: {e}"))?;
-                    (Flow::scan_on_the_fly(&text, &options)?, 0)
-                };
-                let stats = FlyStats {
-                    visited: summary.states,
-                    transitions: summary.transitions,
-                    materialized,
-                    truncated: summary.truncated,
-                };
-                out.push_str(&stats.render());
-                let _ = writeln!(out, "deadlock states: {}", summary.deadlocks);
-                return Ok(out.into());
-            }
-            let lts = if is_lts_file(input) {
-                load(input, max_states)?
-            } else {
-                let text = std::fs::read_to_string(input)
-                    .map_err(|e| format!("cannot read `{input}`: {e}"))?;
-                let spec = parse_spec(&text)?;
-                let mut options =
-                    ExploreOptions::with_max_states(max_states).with_threads(*threads);
-                if let Some(deadline) = budget.deadline() {
-                    options = options.with_deadline(deadline);
-                }
-                if store.is_some() || mem_budget.is_some() {
-                    // Store-backed exploration: states are deduplicated on
-                    // packed bytes in the selected backend instead of a term
-                    // table, trading CPU for a bounded resident footprint.
-                    let kind = store.unwrap_or_default();
-                    let config = multival_lts::store::StoreConfig { kind, mem_budget: *mem_budget };
-                    let run = multival_pa::explore_term_store_partial(
-                        spec.top().clone(),
-                        &spec,
-                        &options,
-                        &config,
-                    );
-                    if let Some(err) = &run.aborted {
-                        let _ = writeln!(out, "warning: exploration aborted: {err}");
-                        let _ = writeln!(out, "Budget exceeded; reporting the partial state space");
-                        status = CmdStatus::BudgetExceeded;
-                    }
-                    out.push_str(&StoreReport { kind, stats: run.store }.render());
-                    run.lts
-                } else {
-                    let start = std::time::Instant::now();
-                    let exploration = explore_partial(&spec, &options);
-                    let wall = start.elapsed();
-                    if let Some(err) = &exploration.aborted {
-                        let _ = writeln!(out, "warning: exploration aborted: {err}");
-                        let _ = writeln!(out, "Budget exceeded; reporting the partial state space");
-                        status = CmdStatus::BudgetExceeded;
-                    }
-                    let explored = exploration.explored;
-                    if *threads != 1 {
-                        // Time a one-thread reference run so the report can
-                        // show the parallel speedup on this exact model.
-                        let start = std::time::Instant::now();
-                        let _ = explore_partial(&spec, &options.clone().with_threads(1));
-                        let baseline_wall = start.elapsed();
-                        let resolved = if *threads == 0 {
-                            std::thread::available_parallelism().map_or(1, |n| n.get())
-                        } else {
-                            *threads
-                        };
-                        let stats = ParStats {
-                            threads: resolved,
-                            states: explored.lts.num_states(),
-                            transitions: explored.lts.num_transitions(),
-                            wall,
-                            baseline_wall: Some(baseline_wall),
-                        };
-                        out.push_str(&stats.render());
-                    }
-                    explored.lts
+            let lts = match read(Model::Path(input))? {
+                Input::Lts(lts) => lts,
+                Input::Source(text) => {
+                    let spec = parse_spec(&text)?;
+                    let options = limits.explore_options().with_threads(*threads);
+                    let (lts, aborted, stats) = if store.is_some() || mem_budget.is_some() {
+                        // Store-backed exploration: states are deduplicated
+                        // on packed bytes in the selected backend instead of
+                        // a term table, trading CPU for a bounded resident
+                        // footprint.
+                        let kind = store.unwrap_or_default();
+                        let config = StoreConfig { kind, mem_budget: *mem_budget };
+                        let run = multival_pa::explore_term_store_partial(
+                            spec.top().clone(),
+                            &spec,
+                            &options,
+                            &config,
+                        );
+                        (run.lts, run.aborted, StoreReport { kind, stats: run.store }.render())
+                    } else {
+                        let start = Instant::now();
+                        let run = explore_partial(&spec, &options);
+                        let wall = start.elapsed();
+                        let mut stats = String::new();
+                        if *threads != 1 {
+                            // Time a one-thread reference run so the report
+                            // can show the parallel speedup on this model.
+                            let start = Instant::now();
+                            let _ = explore_partial(&spec, &options.clone().with_threads(1));
+                            stats = ParStats {
+                                threads: Workers::from_threads(*threads).get(),
+                                states: run.explored.lts.num_states(),
+                                transitions: run.explored.lts.num_transitions(),
+                                wall,
+                                baseline_wall: Some(start.elapsed()),
+                            }
+                            .render();
+                        }
+                        (run.explored.lts, run.aborted, stats)
+                    };
+                    let lts = match settle(lts, aborted)? {
+                        Ok(lts) => lts,
+                        Err(trip) => {
+                            let _ = writeln!(out, "{trip:#}");
+                            status = CmdStatus::BudgetExceeded;
+                            trip.partial
+                        }
+                    };
+                    out.push_str(&stats);
+                    lts
                 }
             };
             let _ = writeln!(out, "{}", lts.summary());
@@ -1540,8 +1316,9 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             Ok(CmdOut::with_status(out, status))
         }
         Command::Check { input, formula, rates, probes, scheduler, on_the_fly, budget } => {
+            let limits = Limits::start(budget);
             if !rates.is_empty() {
-                return check_performance(input, formula, rates, probes, *scheduler, budget);
+                return check_performance(input, formula, rates, probes, *scheduler, &limits);
             }
             if *on_the_fly {
                 if let Some(out) = check_on_the_fly(input, formula)? {
@@ -1551,19 +1328,9 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             }
             // A verdict on a partial state space would be unsound, so a
             // tripped budget yields a clear no-verdict report instead.
-            let lts = match load_budgeted(input, budget)? {
+            let lts = match load(Model::Path(input), &limits)? {
                 Ok(lts) => lts,
-                Err((partial, err)) => {
-                    return Ok(CmdOut::with_status(
-                        format!(
-                            "Budget exceeded: {err}\n\
-                             NO VERDICT: the formula needs the full state space \
-                             ({} states explored)\n",
-                            partial.num_states()
-                        ),
-                        CmdStatus::BudgetExceeded,
-                    ));
-                }
+                Err(trip) => return Ok(withheld(&trip, "formula")),
             };
             let f = multival_mcl::parse_formula(formula)?;
             let result = multival_mcl::check(&lts, &f)?;
@@ -1586,7 +1353,10 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             Ok(out.into())
         }
         Command::Minimize { input, eq, aut } => {
-            let lts = load(input, 1_000_000)?;
+            let lts = match load(Model::Path(input), &Limits::default())? {
+                Ok(lts) => lts,
+                Err(trip) => return Ok(withheld(&trip, "quotient")),
+            };
             let (min, stats) = minimize(&lts, *eq);
             let mut out = format!(
                 "{:?}: {} states / {} transitions  ->  {} states / {} transitions\n",
@@ -1614,32 +1384,15 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             store,
             mem_budget,
         } => {
-            use multival_lts::pipeline::PipelineOptions;
-            if is_lts_file(input) {
-                return Err("reduce needs a mini-LOTOS model: a .aut/.blts file has no \
-                     parallel structure left to reduce compositionally"
-                    .into());
-            }
-            let text = std::fs::read_to_string(input)
-                .map_err(|e| format!("cannot read `{input}`: {e}"))?;
-            let spec = parse_spec(&text)?;
-            // Component exploration keeps the default cap: the budget below
-            // bounds the intermediate *products*, which is where
-            // compositional state spaces actually blow up.
-            let network = multival_pa::extract_network(&spec, &ExploreOptions::default())?;
             let options = PipelineOptions {
                 equivalence: *eq,
                 order: *order,
-                workers: if *threads == 0 { Workers::auto() } else { Workers::new(*threads) },
-                max_states: Some(budget.max_states_or(1_000_000)),
-                deadline: budget.deadline(),
+                workers: Workers::from_threads(*threads),
                 checkpoint_dir: checkpoint.as_ref().map(std::path::PathBuf::from),
-                store: multival_lts::store::StoreConfig {
-                    kind: store.unwrap_or_default(),
-                    mem_budget: *mem_budget,
-                },
+                store: StoreConfig { kind: store.unwrap_or_default(), mem_budget: *mem_budget },
+                ..PipelineOptions::default()
             };
-            let run = multival_lts::pipeline::run_pipeline(&network, &options);
+            let (network, run) = reduce(Model::Path(input), options, &Limits::start(budget))?;
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -1648,26 +1401,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 eq,
                 order
             );
-            let stats = ReduceStats {
-                stages: run
-                    .stages
-                    .iter()
-                    .map(|s| ReduceStageRow {
-                        stage: s.stage,
-                        component: s.component.clone(),
-                        states_before: s.states_before,
-                        transitions_before: s.transitions_before,
-                        states_after: s.states_after,
-                        transitions_after: s.transitions_after,
-                        hidden: s.hidden.clone(),
-                    })
-                    .collect(),
-                peak_states: run.peak_states(),
-                final_states: run.lts.num_states(),
-                final_transitions: run.lts.num_transitions(),
-                resumed_stages: run.resumed_stages,
-            };
-            out.push_str(&stats.render());
+            out.push_str(&ReduceStats::from(&run).render());
             let mut status = CmdStatus::Ok;
             if let Some(reason) = &run.abort {
                 let _ = writeln!(out, "warning: pipeline aborted: {reason}");
@@ -1691,8 +1425,15 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 let db = determinize_input(right)?;
                 compare_determinized(&da, &db)
             } else {
-                let a = load(left, 1_000_000)?;
-                let b = load(right, 1_000_000)?;
+                let limits = Limits::default();
+                let a = match load(Model::Path(left), &limits)? {
+                    Ok(lts) => lts,
+                    Err(trip) => return Ok(withheld(&trip, "comparison")),
+                };
+                let b = match load(Model::Path(right), &limits)? {
+                    Ok(lts) => lts,
+                    Err(trip) => return Ok(withheld(&trip, "comparison")),
+                };
                 match relation {
                     Relation::Strong => equivalent(&a, &b, Equivalence::Strong),
                     Relation::Branching => equivalent(&a, &b, Equivalence::Branching),
@@ -1724,7 +1465,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 seed_end: seeds.1,
                 corpus_dir: corpus.as_ref().map(std::path::PathBuf::from),
                 budget: *budget,
-                workers: if *threads == 0 { Workers::auto() } else { Workers::new(*threads) },
+                workers: Workers::from_threads(*threads),
                 gen: multival_models::xmas::GenConfig {
                     max_steps: *max_steps,
                     max_colors: *max_colors,
@@ -1733,10 +1474,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 },
                 inject_flip: *inject_flip,
                 max_shrink_rounds: 64,
-                store: multival_lts::store::StoreConfig {
-                    kind: store.unwrap_or_default(),
-                    mem_budget: *mem_budget,
-                },
+                store: StoreConfig { kind: store.unwrap_or_default(), mem_budget: *mem_budget },
             };
             let report = crate::fuzz::run_fuzz(&options);
             let mut out = report.render();
@@ -1767,7 +1505,10 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
         }
         Command::Walk { input, steps, seed } => {
             use rand::{Rng, SeedableRng};
-            let lts = load(input, 1_000_000)?;
+            let lts = match load(Model::Path(input), &Limits::default())? {
+                Ok(lts) => lts,
+                Err(trip) => return Ok(withheld(&trip, "walk")),
+            };
             let mut rng = rand::rngs::StdRng::seed_from_u64(*seed);
             let mut out = String::new();
             let mut state = lts.initial();
@@ -1791,8 +1532,15 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
         }
         Command::Refines { imp, spec, weak } => {
             use multival_lts::simulation::{simulates, SimulationKind};
-            let a = load(imp, 1_000_000)?;
-            let b = load(spec, 1_000_000)?;
+            let limits = Limits::default();
+            let a = match load(Model::Path(imp), &limits)? {
+                Ok(lts) => lts,
+                Err(trip) => return Ok(withheld(&trip, "refinement check")),
+            };
+            let b = match load(Model::Path(spec), &limits)? {
+                Ok(lts) => lts,
+                Err(trip) => return Ok(withheld(&trip, "refinement check")),
+            };
             let kind = if *weak { SimulationKind::Weak } else { SimulationKind::Strong };
             Ok(CmdOut::from(if simulates(&a, &b, kind) {
                 "REFINES (the specification simulates the implementation)\n".to_owned()
@@ -1801,12 +1549,12 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             }))
         }
         Command::Solve { input, rates, probes } => {
-            let text = std::fs::read_to_string(input)
-                .map_err(|e| format!("cannot read `{input}`: {e}"))?;
-            let flow = Flow::from_source(&text)?;
-            let rate_map: HashMap<String, f64> = rates.iter().cloned().collect();
+            let lts = match load(Model::Path(input), &Limits::default())? {
+                Ok(lts) => lts,
+                Err(trip) => return Ok(withheld(&trip, "measure")),
+            };
             let probe_refs: Vec<&str> = probes.iter().map(String::as_str).collect();
-            let solved = flow.with_rates(&rate_map).solve(NondetPolicy::Uniform, &probe_refs)?;
+            let solved = rated(lts, rates).solve(NondetPolicy::Uniform, &probe_refs)?;
             let mut out = String::new();
             let _ = writeln!(out, "ctmc states: {}", solved.ctmc().num_states());
             if !probes.is_empty() {
@@ -1842,22 +1590,21 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             budget,
             scheduler,
         } => {
-            let flow = Flow::from_lts(load(input, budget.max_states_or(1_000_000))?);
-            let rate_map: HashMap<String, f64> = rates.iter().cloned().collect();
+            // One wall-clock budget covers the whole invocation: exploration
+            // and both sampling runs share the same absolute deadline.
+            let limits = Limits::start(budget);
+            let lts = match load(Model::Path(input), &limits)? {
+                Ok(lts) => lts,
+                Err(trip) => return Ok(withheld(&trip, "simulation")),
+            };
             let probe_refs: Vec<&str> = probes.iter().map(String::as_str).collect();
-            let perf = flow.with_rates(&rate_map);
+            let perf = rated(lts, rates);
             let solved = perf.solve(NondetPolicy::Uniform, &probe_refs)?;
-            let workers = if *threads == 0 { Workers::auto() } else { Workers::new(*threads) };
-            // One wall-clock budget covers the whole invocation, so both
-            // sampling runs share the same absolute deadline.
+            let workers = Workers::from_threads(*threads);
             let opts = McOptions {
-                seed: *seed,
-                workers,
-                max_trajectories: *trajectories,
                 rel_width: *rel_width,
                 confidence: *confidence,
-                deadline: budget.deadline(),
-                ..McOptions::default()
+                ..mc_options(*seed, workers, *trajectories, &limits)
             };
             let mut out = String::new();
             let mut status = CmdStatus::Ok;

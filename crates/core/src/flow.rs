@@ -26,7 +26,7 @@ use multival_lts::minimize::{divergent_states, minimize, Equivalence, ReductionS
 use multival_lts::reach::{deadlock_search, scan, ReachOptions, ScanSummary, SearchOutcome};
 use multival_lts::Lts;
 use multival_mcl::{check, parse_formula, CheckResult, OnTheFlyReport};
-use multival_pa::{explore, explore_partial, parse_spec, ExploreOptions, PaTs};
+use multival_pa::{explore, parse_spec, ExploreOptions, PaTs};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -108,35 +108,8 @@ impl Flow {
     /// # }
     /// ```
     pub fn from_source(src: &str) -> Result<Flow, FlowError> {
-        Self::from_source_with(src, &ExploreOptions::default())
-    }
-
-    /// Like [`Flow::from_source`] with explicit exploration caps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse and exploration errors.
-    pub fn from_source_with(src: &str, options: &ExploreOptions) -> Result<Flow, FlowError> {
         let spec = parse_spec(src)?;
-        let explored = explore(&spec, options)?;
-        Ok(Flow { lts: explored.lts })
-    }
-
-    /// Like [`Flow::from_source_with`], but keeps the partially explored
-    /// state space when exploration aborts (cap hit or semantics error):
-    /// the returned flow holds exactly the states admitted before the
-    /// abort, and the abort cause rides alongside.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors; exploration aborts are *not* errors here.
-    pub fn from_source_partial(
-        src: &str,
-        options: &ExploreOptions,
-    ) -> Result<(Flow, Option<multival_pa::ExploreError>), FlowError> {
-        let spec = parse_spec(src)?;
-        let exploration = explore_partial(&spec, options);
-        Ok((Flow { lts: exploration.explored.lts }, exploration.aborted))
+        Ok(Flow { lts: explore(&spec, &ExploreOptions::default())?.lts })
     }
 
     /// Wraps an existing LTS.
@@ -538,6 +511,12 @@ impl BoundsSolved {
         &self.conv.mdp
     }
 
+    /// How many CTMDP states are instant (vanishing) states.
+    pub fn instant_states(&self) -> usize {
+        let mdp = &self.conv.mdp;
+        (0..mdp.num_states()).filter(|&s| mdp.is_instant(s)).count()
+    }
+
     /// The conversion record (state maps, probe impulses).
     pub fn conversion(&self) -> &CtmdpConversion {
         &self.conv
@@ -666,26 +645,6 @@ mod tests {
         assert!(flow.divergences().is_empty());
         assert!(flow.check("nu X. <true> true and [true] X").expect("mc").holds);
         assert!(!flow.check("<\"rest\"> true").expect("mc").holds, "rest is not first");
-    }
-
-    #[test]
-    fn partial_flow_survives_a_cap_hit() {
-        // Unbounded interleaving would explode; the partial entry point
-        // keeps what was admitted and reports why it stopped.
-        let src = "process P[a] := a; P[a] ||| a; P[a] endproc behaviour P[a]";
-        let options = ExploreOptions::with_max_states(8);
-        let (flow, aborted) = Flow::from_source_partial(src, &options).expect("parses");
-        assert_eq!(flow.lts().num_states(), 8);
-        match aborted {
-            Some(multival_pa::ExploreError::Explosion { states, .. }) => {
-                assert_eq!(states, 8)
-            }
-            other => panic!("expected a cap abort, got {other:?}"),
-        }
-        // A non-aborting run returns no cause.
-        let (_, aborted) =
-            Flow::from_source_partial(WORK_REST, &ExploreOptions::default()).expect("parses");
-        assert!(aborted.is_none());
     }
 
     #[test]

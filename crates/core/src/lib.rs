@@ -48,6 +48,7 @@
 
 pub mod budget;
 pub mod cli;
+pub mod eval;
 pub mod flow;
 pub mod fuzz;
 pub mod report;

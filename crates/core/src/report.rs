@@ -2,6 +2,7 @@
 //! parallel-exploration throughput report.
 
 use crate::flow::Interval;
+use multival_lts::pipeline::{PipelineRun, StageStats};
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -340,34 +341,13 @@ impl ServeStats {
     }
 }
 
-/// One stage of a compositional reduction run, as rendered by
-/// `multival reduce` (a de-coupled mirror of the pipeline's stage stats so
-/// the report layer stays engine-agnostic).
-#[derive(Debug, Clone)]
-pub struct ReduceStageRow {
-    /// Stage index (0-based).
-    pub stage: usize,
-    /// Component folded in at this stage.
-    pub component: String,
-    /// Product states before hiding/minimization.
-    pub states_before: usize,
-    /// Product transitions before hiding/minimization.
-    pub transitions_before: usize,
-    /// States after hiding + minimization.
-    pub states_after: usize,
-    /// Transitions after hiding + minimization.
-    pub transitions_after: usize,
-    /// Gates whose possessor sets completed at this stage (now hidden).
-    pub hidden: Vec<String>,
-}
-
 /// Report for a `multival reduce` run: the per-stage fold table plus the
 /// peak/final summary.
 #[derive(Debug, Clone)]
 #[must_use]
 pub struct ReduceStats {
     /// Completed stages, in execution order.
-    pub stages: Vec<ReduceStageRow>,
+    pub stages: Vec<StageStats>,
     /// Largest intermediate state count (inclusive of pre-minimization
     /// products).
     pub peak_states: usize,
@@ -377,6 +357,18 @@ pub struct ReduceStats {
     pub final_transitions: usize,
     /// Leading stages restored from a checkpoint instead of recomputed.
     pub resumed_stages: usize,
+}
+
+impl From<&PipelineRun> for ReduceStats {
+    fn from(run: &PipelineRun) -> ReduceStats {
+        ReduceStats {
+            stages: run.stages.clone(),
+            peak_states: run.peak_states(),
+            final_states: run.lts.num_states(),
+            final_transitions: run.lts.num_transitions(),
+            resumed_stages: run.resumed_stages,
+        }
+    }
 }
 
 impl ReduceStats {
@@ -723,7 +715,7 @@ mod tests {
     fn reduce_stats_report() {
         let stats = ReduceStats {
             stages: vec![
-                ReduceStageRow {
+                StageStats {
                     stage: 0,
                     component: "Window".into(),
                     states_before: 3,
@@ -732,7 +724,7 @@ mod tests {
                     transitions_after: 4,
                     hidden: vec![],
                 },
-                ReduceStageRow {
+                StageStats {
                     stage: 1,
                     component: "Hop".into(),
                     states_before: 6,

@@ -55,6 +55,31 @@ pub enum Equivalence {
     BranchingDivergence,
 }
 
+/// CADP's names: `strong`, `branching`, `divbranching`.
+impl std::fmt::Display for Equivalence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Equivalence::Strong => "strong",
+            Equivalence::Branching => "branching",
+            Equivalence::BranchingDivergence => "divbranching",
+        })
+    }
+}
+
+/// Parses the equivalences a user may name: `strong` and `branching`.
+/// Divergence-preserving branching is an internal choice, not a spelling.
+impl std::str::FromStr for Equivalence {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "strong" => Ok(Equivalence::Strong),
+            "branching" => Ok(Equivalence::Branching),
+            other => Err(format!("unknown equivalence `{other}`")),
+        }
+    }
+}
+
 /// A partition of the states of an LTS into equivalence blocks.
 #[derive(Debug, Clone)]
 pub struct Partition {
@@ -621,6 +646,15 @@ mod tests {
     use crate::io::write_aut;
     use crate::lts::LtsBuilder;
     use proptest::prelude::*;
+
+    #[test]
+    fn equivalence_parses_user_spellings_only() {
+        assert_eq!("strong".parse::<Equivalence>(), Ok(Equivalence::Strong));
+        assert_eq!("branching".parse::<Equivalence>(), Ok(Equivalence::Branching));
+        let err = "divbranching".parse::<Equivalence>().expect_err("internal only");
+        assert_eq!(err, "unknown equivalence `divbranching`");
+        assert_eq!(Equivalence::BranchingDivergence.to_string(), "divbranching");
+    }
 
     /// a.(b + c) vs a.b + a.c — branching-equivalent? No! Classic example:
     /// they are *not* strongly bisimilar and not branching bisimilar.

@@ -171,6 +171,23 @@ impl fmt::Display for Order {
     }
 }
 
+/// Parses the [`Display`](fmt::Display) spelling: `smart`, `given` or
+/// `seed:N`.
+impl std::str::FromStr for Order {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "smart" => Ok(Order::Smart),
+            "given" => Ok(Order::Given),
+            other => match other.strip_prefix("seed:").and_then(|n| n.parse().ok()) {
+                Some(seed) => Ok(Order::Seeded(seed)),
+                None => Err(format!("unknown order `{other}` (expected smart, given, or seed:N)")),
+            },
+        }
+    }
+}
+
 /// Options for [`run_pipeline`].
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
@@ -879,6 +896,15 @@ mod tests {
     use super::*;
     use crate::equiv::{disjoint_union, lts_from_triples};
     use crate::minimize::same_block;
+
+    #[test]
+    fn order_parses_what_it_displays() {
+        for order in [Order::Smart, Order::Given, Order::Seeded(42)] {
+            assert_eq!(order.to_string().parse::<Order>(), Ok(order));
+        }
+        let err = "seed:x".parse::<Order>().expect_err("bad seed");
+        assert_eq!(err, "unknown order `seed:x` (expected smart, given, or seed:N)");
+    }
 
     fn cell(inp: &str, outp: &str) -> Lts {
         lts_from_triples(&[(0, inp, 1), (1, outp, 0)])

@@ -72,7 +72,9 @@ impl std::str::FromStr for StoreKind {
             "hash" => Ok(StoreKind::Hash),
             "arena" => Ok(StoreKind::Arena),
             "spill" => Ok(StoreKind::Spill),
-            other => Err(format!("unknown store kind '{other}' (expected hash|arena|spill)")),
+            other => {
+                Err(format!("unknown store backend `{other}` (expected hash, arena, or spill)"))
+            }
         }
     }
 }

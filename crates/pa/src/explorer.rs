@@ -72,10 +72,7 @@ impl ExploreOptions {
     }
 
     fn workers(&self) -> Workers {
-        match self.threads {
-            0 => Workers::auto(),
-            n => Workers::new(n),
-        }
+        Workers::from_threads(self.threads)
     }
 }
 

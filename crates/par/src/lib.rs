@@ -61,6 +61,15 @@ impl Workers {
         Workers(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     }
 
+    /// The workers a `--threads N` knob asks for: `0` means one per
+    /// hardware thread ([`Workers::auto`]), any other count is exact.
+    pub fn from_threads(threads: usize) -> Self {
+        match threads {
+            0 => Workers::auto(),
+            n => Workers::new(n),
+        }
+    }
+
     /// The worker count.
     pub fn get(self) -> usize {
         self.0

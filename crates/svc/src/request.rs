@@ -1,12 +1,14 @@
 //! Job requests: the JSON surface of `POST /v1/jobs`, their canonical form
-//! (the cache key), and their evaluation against the flow engines.
+//! (the cache key), and their evaluation through the shared core
+//! ([`multival::eval`]).
 //!
 //! A request names a *kind* (`explore`, `check`, `steady`, `transient`,
-//! `simulate`, `bounds`, `reduce`), a *model* (a built-in case study, an inline mini-LOTOS
-//! `source`, or an uploaded Aldebaran `aut` text), and kind-specific
-//! parameters. Canonicalization fills every default in and sorts object
-//! keys, so two requests that mean the same thing hash to the same cache
-//! key regardless of member order or omitted fields.
+//! `simulate`, `bounds`, `reduce`, `sweep`), a *model* (a built-in case
+//! study, an inline mini-LOTOS `source`, or an uploaded Aldebaran `aut`
+//! text), and kind-specific parameters. Canonicalization fills every
+//! default in and sorts object keys, so two requests that mean the same
+//! thing hash to the same cache key regardless of member order or omitted
+//! fields.
 //!
 //! Evaluation is deterministic: results carry no timestamps, job ids, or
 //! wall-clock readings, and the Monte-Carlo engine is bit-identical across
@@ -15,23 +17,17 @@
 
 use crate::json::{parse, Json};
 use multival::budget::Budget;
-use multival::flow::Flow;
+use multival::eval::{self, Limits, Model};
+use multival::flow::{Flow, PerfFlow, Solved};
 use multival::imc::NondetPolicy;
-use multival_ctmc::McOptions;
-use multival_lts::io::read_aut;
 use multival_lts::minimize::Equivalence;
-use multival_lts::pipeline::{run_pipeline, Order, PipelineOptions};
+use multival_lts::pipeline::{Order, PipelineOptions};
 use multival_lts::store::{StoreConfig, StoreKind};
 use multival_lts::Lts;
-use multival_models::common::explore_model;
-use multival_models::fame2::coherence::Protocol;
-use multival_models::fame2::mpi::{MpiConfig, MpiImpl, MpiModel};
-use multival_models::fame2::topology::Topology;
-use multival_models::faust::noc::single_packet_source;
 use multival_models::xstream::perf::{analyze_with_delays, explore_pipeline, PerfConfig};
-use multival_pa::{explore_partial, parse_spec, ExploreOptions};
 use multival_par::Workers;
-use std::collections::HashMap;
+
+pub use multival::eval::{builtin_lts, builtin_names};
 
 /// What the job computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +60,17 @@ pub enum Kind {
 }
 
 impl Kind {
+    const ALL: [Kind; 8] = [
+        Kind::Explore,
+        Kind::Check,
+        Kind::Steady,
+        Kind::Transient,
+        Kind::Simulate,
+        Kind::Bounds,
+        Kind::Reduce,
+        Kind::Sweep,
+    ];
+
     fn name(self) -> &'static str {
         match self {
             Kind::Explore => "explore",
@@ -210,6 +217,16 @@ pub enum ModelSource {
     Aut(String),
 }
 
+impl ModelSource {
+    fn as_model(&self) -> Model<'_> {
+        match self {
+            ModelSource::Builtin(name) => Model::Builtin(name),
+            ModelSource::Source(text) => Model::Source(text),
+            ModelSource::Aut(text) => Model::Aut(text),
+        }
+    }
+}
+
 /// A fully parsed job request with every default resolved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
@@ -244,49 +261,6 @@ pub struct JobRequest {
     pub sweep: Option<SweepParams>,
     /// Resource budget (state cap + wall-clock limit).
     pub budget: Budget,
-}
-
-/// The names accepted by `{"model":{"builtin":...}}`, in stable order.
-#[must_use]
-pub fn builtin_names() -> [&'static str; 3] {
-    ["xstream_pipeline", "fame2_ping_pong", "faust_single_packet"]
-}
-
-/// Materializes a built-in case study as an LTS.
-///
-/// # Errors
-///
-/// Returns a message for unknown names or (theoretical) exploration caps.
-pub fn builtin_lts(name: &str) -> Result<Lts, String> {
-    match name {
-        "xstream_pipeline" => Ok(explore_pipeline(&PerfConfig::default())
-            .map_err(|e| format!("xstream_pipeline: {e}"))?
-            .lts),
-        "fame2_ping_pong" => {
-            let config = MpiConfig {
-                topology: Topology::Crossbar(2),
-                protocol: Protocol::Msi,
-                implementation: MpiImpl::Eager,
-                payload: 1,
-            };
-            Ok(explore_model(&MpiModel::ping_pong(config), 4_000_000)
-                .map_err(|e| format!("fame2_ping_pong: {e}"))?
-                .lts)
-        }
-        "faust_single_packet" => {
-            let spec = parse_spec(&single_packet_source(3))
-                .map_err(|e| format!("faust_single_packet: {e}"))?;
-            let explored = explore_partial(&spec, &ExploreOptions::default());
-            match explored.aborted {
-                Some(e) => Err(format!("faust_single_packet: {e}")),
-                None => Ok(explored.explored.lts),
-            }
-        }
-        other => Err(format!(
-            "unknown builtin model `{other}` (expected one of {})",
-            builtin_names().join(", ")
-        )),
-    }
 }
 
 fn opt_str(v: &Json, key: &str) -> Result<Option<String>, String> {
@@ -330,18 +304,11 @@ impl JobRequest {
     ///
     /// Returns a message describing the first malformed field.
     pub fn from_json(v: &Json) -> Result<JobRequest, String> {
-        let kind = match v.get("kind").and_then(Json::as_str) {
-            Some("explore") => Kind::Explore,
-            Some("check") => Kind::Check,
-            Some("steady") => Kind::Steady,
-            Some("transient") => Kind::Transient,
-            Some("simulate") => Kind::Simulate,
-            Some("bounds") => Kind::Bounds,
-            Some("reduce") => Kind::Reduce,
-            Some("sweep") => Kind::Sweep,
-            Some(other) => return Err(format!("unknown kind `{other}`")),
-            None => return Err("`kind` is required".to_owned()),
-        };
+        let name = v.get("kind").and_then(Json::as_str).ok_or("`kind` is required")?;
+        let kind = Kind::ALL
+            .into_iter()
+            .find(|k| k.name() == name)
+            .ok_or_else(|| format!("unknown kind `{name}`"))?;
         let model_obj = v.get("model").ok_or("`model` is required")?;
         let model = match (
             opt_str(model_obj, "builtin")?,
@@ -402,33 +369,9 @@ impl JobRequest {
         }
         let trajectories = opt_uint(v, "trajectories")?.unwrap_or(8192) as usize;
         let seed = opt_uint(v, "seed")?.unwrap_or(42);
-        let eq = match opt_str(v, "eq")?.as_deref() {
-            None | Some("branching") => Equivalence::Branching,
-            Some("strong") => Equivalence::Strong,
-            Some(other) => return Err(format!("unknown equivalence `{other}`")),
-        };
-        let order = match opt_str(v, "order")?.as_deref() {
-            None | Some("smart") => Order::Smart,
-            Some("given") => Order::Given,
-            Some(other) => match other.strip_prefix("seed:").and_then(|s| s.parse().ok()) {
-                Some(seed) => Order::Seeded(seed),
-                None => {
-                    return Err(format!(
-                        "unknown order `{other}` (expected smart, given, or seed:N)"
-                    ))
-                }
-            },
-        };
-        let store = match opt_str(v, "store")?.as_deref() {
-            None | Some("hash") => StoreKind::Hash,
-            Some("arena") => StoreKind::Arena,
-            Some("spill") => StoreKind::Spill,
-            Some(other) => {
-                return Err(format!(
-                    "unknown store backend `{other}` (expected hash, arena, or spill)"
-                ))
-            }
-        };
+        let eq = opt_str(v, "eq")?.map_or(Ok(Equivalence::Branching), |s| s.parse())?;
+        let order = opt_str(v, "order")?.map_or(Ok(Order::Smart), |s| s.parse())?;
+        let store = opt_str(v, "store")?.map_or(Ok(StoreKind::Hash), |s| s.parse())?;
         let mem_budget = opt_uint(v, "mem_budget")?.map(|b| b as usize);
         let sweep = if kind == Kind::Sweep {
             if !matches!(&model, ModelSource::Builtin(n) if n == "xstream_pipeline") {
@@ -523,16 +466,7 @@ impl JobRequest {
             ("horizon".into(), Json::num(self.horizon)),
             ("trajectories".into(), Json::num(self.trajectories as f64)),
             ("seed".into(), Json::num(self.seed as f64)),
-            (
-                "eq".into(),
-                Json::str(match self.eq {
-                    Equivalence::Strong => "strong",
-                    Equivalence::Branching => "branching",
-                    // Not reachable from `from_json` (the API surface only
-                    // accepts strong/branching), kept total for safety.
-                    Equivalence::BranchingDivergence => "divbranching",
-                }),
-            ),
+            ("eq".into(), Json::str(self.eq.to_string())),
             ("order".into(), Json::str(self.order.to_string())),
             ("store".into(), Json::str(self.store.to_string())),
             ("mem_budget".into(), self.mem_budget.map_or(Json::Null, |b| Json::num(b as f64))),
@@ -564,25 +498,27 @@ impl JobRequest {
         Json::Obj(members).canonicalized().to_string()
     }
 
-    /// Materializes the model as an LTS under the request's budget.
-    fn load_model(&self) -> Result<Lts, String> {
-        match &self.model {
-            ModelSource::Builtin(name) => builtin_lts(name),
-            ModelSource::Aut(text) => read_aut(text).map_err(|e| e.to_string()),
-            ModelSource::Source(text) => {
-                let spec = parse_spec(text).map_err(|e| e.to_string())?;
-                let mut options =
-                    ExploreOptions::with_max_states(self.budget.max_states_or(1_000_000));
-                if let Some(deadline) = self.budget.deadline() {
-                    options = options.with_deadline(deadline);
-                }
-                let exploration = explore_partial(&spec, &options);
-                match exploration.aborted {
-                    Some(e) => Err(format!("Budget exceeded: {e}")),
-                    None => Ok(exploration.explored.lts),
-                }
-            }
-        }
+    /// Loads the model under `limits`; a budget trip is an error here.
+    fn load(&self, limits: &Limits) -> Result<Lts, String> {
+        eval::load(self.model.as_model(), limits)
+            .map_err(|e| e.to_string())?
+            .map_err(|trip| trip.to_string())
+    }
+
+    /// The model's performance model under the request's rates.
+    fn rated(&self, limits: &Limits) -> Result<PerfFlow, String> {
+        Ok(eval::rated(self.load(limits)?, &self.rates))
+    }
+
+    /// The model's CTMC under uniform resolution of nondeterminism.
+    fn solved(&self, limits: &Limits) -> Result<Solved, String> {
+        self.rated(limits)?
+            .solve(NondetPolicy::Uniform, &self.probe_refs())
+            .map_err(|e| e.to_string())
+    }
+
+    fn probe_refs(&self) -> Vec<&str> {
+        self.probes.iter().map(String::as_str).collect()
     }
 
     /// Evaluates the request to its deterministic result JSON.
@@ -592,15 +528,12 @@ impl JobRequest {
     /// Returns a message on model/formula/solver failures or tripped
     /// budgets; errors are never cached.
     pub fn evaluate(&self, workers: Workers) -> Result<Json, String> {
-        if self.kind == Kind::Reduce {
-            return self.evaluate_reduce(workers);
-        }
-        if self.kind == Kind::Sweep {
-            return self.evaluate_sweep();
-        }
-        let lts = self.load_model()?;
+        let limits = Limits::start(&self.budget);
         match self.kind {
+            Kind::Sweep => self.evaluate_sweep(),
+            Kind::Reduce => self.evaluate_reduce(workers, &limits),
             Kind::Explore => {
+                let lts = self.load(&limits)?;
                 let deadlocks = lts.deadlock_states().len();
                 Ok(Json::Obj(vec![
                     ("states".into(), Json::num(lts.num_states() as f64)),
@@ -609,7 +542,9 @@ impl JobRequest {
                 ]))
             }
             Kind::Check => {
-                let formula = self.formula.as_deref().expect("validated at parse");
+                let formula =
+                    self.formula.as_deref().ok_or("`formula` is required for kind `check`")?;
+                let lts = self.load(&limits)?;
                 let f = multival::mcl::parse_formula(formula).map_err(|e| e.to_string())?;
                 let result = multival::mcl::check(&lts, &f).map_err(|e| e.to_string())?;
                 Ok(Json::Obj(vec![
@@ -618,10 +553,85 @@ impl JobRequest {
                     ("total".into(), Json::num(result.total as f64)),
                 ]))
             }
-            Kind::Steady | Kind::Transient | Kind::Simulate | Kind::Bounds => {
-                self.evaluate_perf(lts, workers)
+            Kind::Bounds => {
+                let bounds = self
+                    .rated(&limits)?
+                    .solve_bounds(&self.probe_refs())
+                    .map_err(|e| e.to_string())?;
+                let throughputs: Vec<(String, Json)> = bounds
+                    .throughput_bounds()
+                    .map_err(|e| e.to_string())?
+                    .into_iter()
+                    .map(|(probe, i)| {
+                        let member = Json::Obj(vec![
+                            ("min".into(), Json::num(i.min)),
+                            ("max".into(), Json::num(i.max)),
+                        ]);
+                        (probe, member)
+                    })
+                    .collect();
+                Ok(Json::Obj(vec![
+                    ("states".into(), Json::num(bounds.mdp().num_states() as f64)),
+                    ("instant".into(), Json::num(bounds.instant_states() as f64)),
+                    ("throughput_bounds".into(), Json::Obj(throughputs)),
+                ]))
             }
-            Kind::Reduce | Kind::Sweep => unreachable!("handled before the model is flattened"),
+            Kind::Steady => {
+                let solved = self.solved(&limits)?;
+                let pi = solved.steady_state().map_err(|e| e.to_string())?;
+                let throughputs = solved.throughputs().map_err(|e| e.to_string())?;
+                Ok(Json::Obj(vec![
+                    ("states".into(), Json::num(solved.ctmc().num_states() as f64)),
+                    ("steady_state".into(), vector_json(&pi)),
+                    (
+                        "throughputs".into(),
+                        Json::Obj(
+                            throughputs
+                                .into_iter()
+                                .map(|(probe, tp)| (probe, Json::num(tp)))
+                                .collect(),
+                        ),
+                    ),
+                ]))
+            }
+            Kind::Transient => {
+                let solved = self.solved(&limits)?;
+                let dist = solved.transient(self.time).map_err(|e| e.to_string())?;
+                Ok(Json::Obj(vec![
+                    ("states".into(), Json::num(solved.ctmc().num_states() as f64)),
+                    ("time".into(), Json::num(self.time)),
+                    ("distribution".into(), vector_json(&dist)),
+                ]))
+            }
+            Kind::Simulate => {
+                let solved = self.solved(&limits)?;
+                let opts = eval::mc_options(self.seed, workers, self.trajectories, &limits);
+                let run = solved.simulate_occupancy(self.horizon, &opts);
+                if run.budget_hit {
+                    return Err(format!(
+                        "Budget exceeded: wall-clock limit hit after {} trajectories",
+                        run.trajectories
+                    ));
+                }
+                let estimates: Vec<Json> = run
+                    .estimates
+                    .iter()
+                    .take(VECTOR_CAP)
+                    .map(|e| {
+                        Json::Obj(vec![
+                            ("mean".into(), Json::num(e.mean)),
+                            ("half_width".into(), Json::num(e.half_width)),
+                        ])
+                    })
+                    .collect();
+                Ok(Json::Obj(vec![
+                    ("states".into(), Json::num(solved.ctmc().num_states() as f64)),
+                    ("horizon".into(), Json::num(self.horizon)),
+                    ("trajectories".into(), Json::num(run.trajectories as f64)),
+                    ("converged".into(), Json::Bool(run.converged)),
+                    ("estimates".into(), Json::Arr(estimates)),
+                ]))
+            }
         }
     }
 
@@ -635,7 +645,7 @@ impl JobRequest {
         use multival::imc::phase_type::Delay;
         use multival_ctmc::phfit;
 
-        let p = self.sweep.as_ref().expect("validated at parse");
+        let p = self.sweep.as_ref().ok_or("`sweep` is required for kind `sweep`")?;
         let config = PerfConfig {
             push_capacity: p.push_capacity,
             pop_capacity: p.pop_capacity,
@@ -742,23 +752,16 @@ impl JobRequest {
     /// A tripped budget is an error (never cached); everything else is
     /// deterministic — the canonical reduced LTS and the stage accounting
     /// are byte-identical across worker counts and order seeds.
-    fn evaluate_reduce(&self, workers: Workers) -> Result<Json, String> {
-        let ModelSource::Source(text) = &self.model else {
-            unreachable!("validated at parse: reduce needs a source model")
-        };
-        let spec = parse_spec(text).map_err(|e| e.to_string())?;
-        let network = multival_pa::extract_network(&spec, &ExploreOptions::default())
-            .map_err(|e| e.to_string())?;
+    fn evaluate_reduce(&self, workers: Workers, limits: &Limits) -> Result<Json, String> {
         let options = PipelineOptions {
             equivalence: self.eq,
             order: self.order,
             workers,
-            max_states: Some(self.budget.max_states_or(1_000_000)),
-            deadline: self.budget.deadline(),
-            checkpoint_dir: None,
             store: StoreConfig { kind: self.store, mem_budget: self.mem_budget },
+            ..PipelineOptions::default()
         };
-        let run = run_pipeline(&network, &options);
+        let (network, run) =
+            eval::reduce(self.model.as_model(), options, limits).map_err(|e| e.to_string())?;
         if let Some(reason) = &run.abort {
             return Err(format!("Budget exceeded: {reason}"));
         }
@@ -788,103 +791,6 @@ impl JobRequest {
             ("order".into(), Json::Arr(order)),
             ("stages".into(), Json::Arr(stages)),
         ]))
-    }
-
-    fn evaluate_perf(&self, lts: Lts, workers: Workers) -> Result<Json, String> {
-        let rate_map: HashMap<String, f64> = self.rates.iter().cloned().collect();
-        let probe_refs: Vec<&str> = self.probes.iter().map(String::as_str).collect();
-        if self.kind == Kind::Bounds {
-            let bounds = Flow::from_lts(lts)
-                .with_rates(&rate_map)
-                .solve_bounds(&probe_refs)
-                .map_err(|e| e.to_string())?;
-            let mdp = bounds.mdp();
-            let instant = (0..mdp.num_states()).filter(|&s| mdp.is_instant(s)).count();
-            let throughputs: Vec<(String, Json)> = bounds
-                .throughput_bounds()
-                .map_err(|e| e.to_string())?
-                .into_iter()
-                .map(|(probe, i)| {
-                    let member = Json::Obj(vec![
-                        ("min".into(), Json::num(i.min)),
-                        ("max".into(), Json::num(i.max)),
-                    ]);
-                    (probe, member)
-                })
-                .collect();
-            return Ok(Json::Obj(vec![
-                ("states".into(), Json::num(bounds.mdp().num_states() as f64)),
-                ("instant".into(), Json::num(instant as f64)),
-                ("throughput_bounds".into(), Json::Obj(throughputs)),
-            ]));
-        }
-        let solved = Flow::from_lts(lts)
-            .with_rates(&rate_map)
-            .solve(NondetPolicy::Uniform, &probe_refs)
-            .map_err(|e| e.to_string())?;
-        let states = solved.ctmc().num_states();
-        match self.kind {
-            Kind::Steady => {
-                let pi = solved.steady_state().map_err(|e| e.to_string())?;
-                let throughputs = solved.throughputs().map_err(|e| e.to_string())?;
-                Ok(Json::Obj(vec![
-                    ("states".into(), Json::num(states as f64)),
-                    ("steady_state".into(), vector_json(&pi)),
-                    (
-                        "throughputs".into(),
-                        Json::Obj(
-                            throughputs
-                                .into_iter()
-                                .map(|(probe, tp)| (probe, Json::num(tp)))
-                                .collect(),
-                        ),
-                    ),
-                ]))
-            }
-            Kind::Transient => {
-                let dist = solved.transient(self.time).map_err(|e| e.to_string())?;
-                Ok(Json::Obj(vec![
-                    ("states".into(), Json::num(states as f64)),
-                    ("time".into(), Json::num(self.time)),
-                    ("distribution".into(), vector_json(&dist)),
-                ]))
-            }
-            Kind::Simulate => {
-                let opts = McOptions {
-                    seed: self.seed,
-                    workers,
-                    max_trajectories: self.trajectories,
-                    deadline: self.budget.deadline(),
-                    ..McOptions::default()
-                };
-                let run = solved.simulate_occupancy(self.horizon, &opts);
-                if run.budget_hit {
-                    return Err(format!(
-                        "Budget exceeded: wall-clock limit hit after {} trajectories",
-                        run.trajectories
-                    ));
-                }
-                let estimates: Vec<Json> = run
-                    .estimates
-                    .iter()
-                    .take(VECTOR_CAP)
-                    .map(|e| {
-                        Json::Obj(vec![
-                            ("mean".into(), Json::num(e.mean)),
-                            ("half_width".into(), Json::num(e.half_width)),
-                        ])
-                    })
-                    .collect();
-                Ok(Json::Obj(vec![
-                    ("states".into(), Json::num(states as f64)),
-                    ("horizon".into(), Json::num(self.horizon)),
-                    ("trajectories".into(), Json::num(run.trajectories as f64)),
-                    ("converged".into(), Json::Bool(run.converged)),
-                    ("estimates".into(), Json::Arr(estimates)),
-                ]))
-            }
-            _ => unreachable!("evaluate_perf only handles performance kinds"),
-        }
     }
 }
 
@@ -1070,6 +976,42 @@ mod tests {
         ));
         let err = r.evaluate(Workers::sequential()).expect_err("budget trips");
         assert!(err.contains("Budget exceeded"), "{err}");
+    }
+
+    #[test]
+    fn modeling_errors_are_errors_not_budget_trips() {
+        let looped = Json::str("process Loop[a] := Loop[a] endproc behaviour a; Loop[a]");
+        for rest in ["", r#","rates":{"a":1}"#] {
+            let kind = if rest.is_empty() { "explore" } else { "simulate" };
+            let r = req(&format!(r#"{{"kind":"{kind}","model":{{"source":{looped}}}{rest}}}"#));
+            let err = r.evaluate(Workers::sequential()).expect_err("modeling error");
+            assert_eq!(err, "unguarded recursion while unfolding `Loop` (in state `Loop[a]`)");
+        }
+        // A deadline trips exploration like the state cap does.
+        let counters = Json::str(
+            "process C[t](n: int 0..40) := [n < 40] -> t; C[t](n + 1) endproc
+             behaviour C[t](0) ||| C[t](0)",
+        );
+        for kind in ["explore", "simulate"] {
+            let r = req(&format!(
+                r#"{{"kind":"{kind}","model":{{"source":{counters}}},"rates":{{"t":1}},"timeout_secs":0}}"#
+            ));
+            let err = r.evaluate(Workers::sequential()).expect_err("deadline trips");
+            assert!(err.starts_with("Budget exceeded: wall-clock budget exhausted"), "{err}");
+        }
+    }
+
+    #[test]
+    fn hand_built_requests_missing_their_parameters_are_errors() {
+        let base = req(r#"{"kind":"explore","model":{"builtin":"xstream_pipeline"}}"#);
+        let check = JobRequest { kind: Kind::Check, formula: None, ..base.clone() };
+        let err = check.evaluate(Workers::sequential()).expect_err("no formula");
+        assert!(err.contains("`formula`"), "{err}");
+        let sweep = JobRequest { kind: Kind::Sweep, sweep: None, ..base.clone() };
+        assert!(sweep.evaluate(Workers::sequential()).is_err());
+        let reduce = JobRequest { kind: Kind::Reduce, ..base };
+        let err = reduce.evaluate(Workers::sequential()).expect_err("no network");
+        assert!(err.contains("parallel structure"), "{err}");
     }
 
     /// A two-component producer/consumer network with a hidden middle gate.

@@ -255,3 +255,84 @@ fn lint_flags_blocked_gate() {
     assert!(ok);
     assert!(stdout.contains("blocks forever"), "{stdout}");
 }
+
+/// An unguarded recursion: a modeling error, never a budget trip.
+const LOOP: &str = "process Loop[a] := Loop[a] endproc behaviour a; Loop[a]";
+
+/// Two independent 41-step counters: 1,681 states, past the explorer's
+/// every-128-states deadline check.
+const BUDGET: &str = "process Count[tick](n: int 0..40) :=
+     [n < 40] -> tick; Count[tick](n + 1)
+ endproc
+ behaviour Count[tick](0) ||| Count[tick](0)";
+
+#[test]
+fn modeling_errors_exit_1_from_every_verb() {
+    let model = write_model("loop.lot", LOOP);
+    let m = model.as_str();
+    let deadlock_free = "nu X. <true> true and [true] X";
+    let invocations: [&[&str]; 13] = [
+        &["explore", m],
+        &["explore", m, "--on-the-fly"],
+        &["explore", m, "--store", "arena"],
+        &["check", m, deadlock_free],
+        &["check", m, deadlock_free, "--on-the-fly"],
+        &["check", m, "throughput(a) >= 0.1", "--rate", "a=1"],
+        &["minimize", m],
+        &["reduce", m],
+        &["compare", m, m],
+        &["refines", m, m],
+        &["walk", m],
+        &["solve", m, "--rate", "a=1"],
+        &["simulate", m, "--rate", "a=1"],
+    ];
+    for args in invocations {
+        let (stdout, stderr, code) = multival_code(args);
+        assert_eq!(code, Some(1), "{args:?}: {stdout}");
+        assert!(
+            stderr.contains("unguarded recursion while unfolding `Loop`"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stdout.contains("Budget exceeded"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn every_budget_trip_exits_3() {
+    let model = write_model("trip.lot", BUDGET);
+    let m = model.as_str();
+    let chain = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/reduce_chain.lot");
+    let verbs: [&[&str]; 5] = [
+        &["explore", m],
+        &["check", m, "nu X. <true> true and [true] X"],
+        &["check", m, "throughput(tick) >= 0.1", "--rate", "tick=1"],
+        &["simulate", m, "--rate", "tick=1"],
+        &["reduce", chain],
+    ];
+    for verb in verbs {
+        let cap = if verb[0] == "reduce" { "2" } else { "10" };
+        for budget in [["--max-states", cap], ["--timeout-secs", "0"]] {
+            let args = [verb, &budget].concat();
+            let (stdout, _, code) = multival_code(&args);
+            assert_eq!(code, Some(3), "{args:?}: {stdout}");
+            assert!(stdout.contains("Budget exceeded"), "{args:?}: {stdout}");
+        }
+    }
+    // The deadline covers exploration too: simulate stops before it builds
+    // the CTMC.
+    let (stdout, _, _) = multival_code(&["simulate", m, "--rate", "tick=1", "--timeout-secs", "0"]);
+    assert!(!stdout.contains("ctmc states:"), "{stdout}");
+    assert!(stdout.contains("NO VERDICT: the simulation needs the full state space"), "{stdout}");
+}
+
+#[test]
+fn solve_reads_lts_inputs() {
+    let xstream = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/xstream_pipeline.aut");
+    let (stdout, stderr, code) = multival_code(&[
+        "solve", xstream, "--rate", "push=1", "--rate", "xfer=4", "--rate", "pop=2", "--rate",
+        "credit=8", "--probe", "pop",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("ctmc states: 18"), "{stdout}");
+    assert!(stdout.lines().any(|l| l.split_whitespace().eq(["pop", "0.9066"])), "{stdout}");
+}
